@@ -108,7 +108,6 @@ impl Config {
                 wall("crates/scenario"),
                 wall("crates/service"),
                 wall("crates/harness"),
-                wall("crates/bench"),
                 wall("crates/analysis"),
                 // The umbrella crate and the vendored stand-ins only take
                 // the `#![forbid(unsafe_code)]` check (the stand-ins are

@@ -20,8 +20,9 @@
 //! designs register under their canonical ids ("so", "sdtm", "atom",
 //! "logtm-atom", "dhtm", "np") alongside the built-in DHTM variants; new
 //! variants register via [`registry::register_global`] without touching any
-//! dispatch code. [`build_engine`] survives as a compatibility shim over
-//! the registry for callers that still think in [`DesignKind`].
+//! dispatch code. A [`DesignKind`](dhtm_types::policy::DesignKind) converts
+//! into its canonical id, so `registry::resolve(&kind.into())` builds any
+//! of the paper's designs.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -43,48 +44,3 @@ pub use so::SoEngine;
 /// The volatile non-persistent HTM baseline (NP) is the RTM engine from
 /// `dhtm-htm`, re-exported under its evaluation name.
 pub use dhtm_htm::rtm::RtmEngine as NpEngine;
-
-use dhtm_types::config::SystemConfig;
-use dhtm_types::policy::DesignKind;
-
-/// Builds the engine for any of the paper's designs by resolving its
-/// canonical id through the process-wide [`registry`]. Compatibility entry
-/// point; new code should resolve an [`EngineId`] itself (which also covers
-/// named variants).
-///
-/// Returns the [`EngineDispatch`] built by the registry, so callers that
-/// run it through a generic driver get static dispatch for free.
-///
-/// ```
-/// use dhtm_baselines::build_engine;
-/// use dhtm_sim::engine::TxEngine;
-/// use dhtm_types::config::SystemConfig;
-/// use dhtm_types::policy::DesignKind;
-///
-/// let engine = build_engine(DesignKind::Dhtm, &SystemConfig::small_test());
-/// assert_eq!(engine.design(), DesignKind::Dhtm);
-/// ```
-pub fn build_engine(kind: DesignKind, cfg: &SystemConfig) -> EngineDispatch {
-    registry::resolve(&kind.into())
-        .expect("all designs are registered builtin")
-        .build(cfg)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dhtm_sim::engine::TxEngine;
-
-    #[test]
-    fn factory_builds_every_design() {
-        let cfg = SystemConfig::small_test();
-        for kind in DesignKind::ALL {
-            let engine = build_engine(kind, &cfg);
-            assert_eq!(
-                engine.design(),
-                kind,
-                "factory must preserve the design kind"
-            );
-        }
-    }
-}

@@ -3,7 +3,7 @@
 //! [`DesignKind`].
 //!
 //! Every place that used to dispatch on the enum — the harness matrix, the
-//! crash matrix, the bench bins, the examples — now resolves an
+//! crash matrix, the examples — now resolves an
 //! [`EngineId`] through a registry, so design *variants* (DHTM with a
 //! 4-entry log buffer, sdTM with a different fallback policy, ...) become
 //! first-class named engines:

@@ -1,8 +1,8 @@
 //! The catalogue of experiments: every figure/table of the paper's
 //! evaluation (Section VI) plus a beyond-the-paper scaling sweep, each
 //! defined as a declarative [`Matrix`] and a table renderer over the
-//! collected rows. The per-binary design×workload loops that used to live
-//! in `crates/bench/src/bin/*` all collapsed into this module.
+//! collected rows. The `dhtm_experiments` binary runs any of them by name
+//! (`--experiment NAME`).
 
 use std::io::Write as _;
 
@@ -26,7 +26,7 @@ use crate::{default_base, quick_mode, MICRO_NAMES};
 pub struct ExperimentResult {
     /// The experiment's registry name.
     pub name: &'static str,
-    /// Rendered table lines (printed to stdout by the binaries).
+    /// Rendered table lines (printed to stdout by `dhtm_experiments`).
     pub lines: Vec<String>,
     /// The collected simulation rows (empty for pure-arithmetic tables).
     pub rows: Vec<Row>,
@@ -822,7 +822,7 @@ fn recovery(opts: &HarnessOpts) -> ExperimentResult {
 }
 
 // ---------------------------------------------------------------------------
-// Emission and binary entry points
+// Emission
 // ---------------------------------------------------------------------------
 
 /// Prints every result's table lines, then emits the machine-readable dump
@@ -905,31 +905,6 @@ fn profile_lines(rows: &[Row]) -> Vec<String> {
     ];
     lines.extend(dhtm_obs::profile::render_flat(&pairs));
     lines
-}
-
-/// CLI entry point shared by the thin figure/table binaries: parses the
-/// process arguments, runs `name` and emits the output.
-///
-/// # Panics
-///
-/// Panics if `name` is not a registered experiment (a bug in the binary).
-pub fn run_cli(name: &str) {
-    let opts = HarnessOpts::parse_env();
-    // Each figure/table binary is hard-wired to one experiment; silently
-    // running it while the user asked for another would mislabel results.
-    if let Some(requested) = opts.experiment.as_deref() {
-        if requested != name {
-            eprintln!(
-                "this binary always runs '{name}'; use the dhtm_experiments binary \
-                 for --experiment {requested}"
-            );
-            std::process::exit(2);
-        }
-    }
-    let experiment = by_name(name).unwrap_or_else(|| panic!("unregistered experiment {name}"));
-    prepare_trace(&opts);
-    let result = experiment.run(&opts);
-    emit(&opts, &[result]);
 }
 
 #[cfg(test)]

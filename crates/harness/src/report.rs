@@ -3,6 +3,7 @@
 
 use std::fmt::Write as _;
 
+use dhtm_obs::json::quote;
 use dhtm_types::stats::AbortReason;
 
 use crate::runner::Row;
@@ -30,24 +31,6 @@ impl std::str::FromStr for OutputFormat {
             other => Err(format!("unknown format '{other}' (table|json|csv)")),
         }
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The flat (name, value) numeric fields serialised for one row, shared by
@@ -160,11 +143,11 @@ pub fn rows_to_json(rows: &[Row]) -> String {
         // u64 and would lose precision through the f64 numeric fields.
         let _ = write!(
             out,
-            "  {{\"experiment\": \"{}\", \"engine\": \"{}\", \"workload\": \"{}\", \"config\": \"{}\", \"seed\": {}",
-            json_escape(&row.experiment),
-            json_escape(&row.engine),
-            json_escape(&row.workload),
-            json_escape(&row.config),
+            "  {{\"experiment\": {}, \"engine\": {}, \"workload\": {}, \"config\": {}, \"seed\": {}",
+            quote(&row.experiment),
+            quote(&row.engine),
+            quote(&row.workload),
+            quote(&row.config),
             row.seed,
         );
         for (name, value) in numeric_fields(row) {
@@ -179,7 +162,7 @@ pub fn rows_to_json(rows: &[Row]) -> String {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "\"{}\": {value}", json_escape(name));
+                let _ = write!(out, "{}: {value}", quote(name));
             }
             out.push('}');
         }
@@ -353,7 +336,13 @@ mod tests {
 
     #[test]
     fn json_escaping_handles_special_characters() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let mut labelled = row("SO", "hash", 10, 1000);
+        labelled.experiment = "a\"b\\c\nd".to_string();
+        let json = rows_to_json(&[labelled]);
+        assert!(
+            json.contains("{\"experiment\": \"a\\\"b\\\\c\\nd\", \"engine\": \"SO\""),
+            "{json}"
+        );
     }
 
     #[test]

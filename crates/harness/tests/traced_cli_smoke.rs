@@ -1,13 +1,42 @@
-//! End-to-end smoke of the observability CLI surface: `dhtm_experiments
-//! --trace/--profile` writes a valid NDJSON stream and a profile table in
-//! quick mode, and `trace_validate` (the CI gate) accepts that stream and
+//! End-to-end smoke of the `dhtm_experiments` CLI in quick mode: every
+//! catalogue experiment runs to completion and prints its table, and the
+//! observability surface (`--trace/--profile`) writes a valid NDJSON stream
+//! and a profile table that `trace_validate` (the CI gate) accepts, while it
 //! rejects a corrupted one. This drives the real binaries, so it covers the
 //! whole path: matrix → instrumented runner → trace file → validator.
 
 use std::process::Command;
 
+use dhtm_harness::experiments::ALL;
+
 fn scratch(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("dhtm_{name}_{}", std::process::id()))
+}
+
+/// Each paper artifact's entry point: an experiment that panics, hangs or
+/// prints nothing is a broken figure. Iterating the catalogue covers a new
+/// experiment as soon as it is registered.
+#[test]
+fn every_catalogue_experiment_runs_in_quick_mode() {
+    for experiment in ALL {
+        let name = experiment.name;
+        let output = Command::new(env!("CARGO_BIN_EXE_dhtm_experiments"))
+            .env("DHTM_BENCH_QUICK", "1")
+            .args(["--experiment", name])
+            .output()
+            .unwrap_or_else(|e| panic!("failed to spawn dhtm_experiments for {name}: {e}"));
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(
+            output.status.success(),
+            "{name} exited with {:?}\nstdout:\n{stdout}\nstderr:\n{}",
+            output.status.code(),
+            String::from_utf8_lossy(&output.stderr),
+        );
+        assert!(
+            stdout.lines().count() >= 2,
+            "{name} printed almost nothing:\n{stdout}"
+        );
+    }
 }
 
 #[test]

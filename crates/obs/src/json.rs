@@ -2,10 +2,11 @@
 //! workspace's structured wire formats.
 //!
 //! The container image has no serde, so every textual format in the tree
-//! is hand-rolled. [`crate::trace::parse_line`] handles the *flat* NDJSON
-//! trace schema; this module is the general form for payloads that nest
-//! (the simulation service's `dhtm-svc-v1` protocol, persisted result
-//! records): objects, arrays, strings and unsigned 64-bit integers —
+//! is hand-rolled. This module serves both the *flat* NDJSON trace schema
+//! ([`crate::trace::parse_line`] is [`JsonValue::parse`] plus a flatness
+//! check) and the payloads that nest (the simulation service's
+//! `dhtm-svc-v1` protocol, persisted result records): objects, arrays,
+//! strings and unsigned 64-bit integers —
 //! exactly the vocabulary the workspace's all-integer statistics need, and
 //! nothing more. No floats, no booleans, no null: absence of a lossy type
 //! is what makes the canonical form byte-stable under round-trips.
@@ -148,6 +149,17 @@ impl fmt::Display for JsonValue {
 
 fn itoa(v: u64) -> String {
     v.to_string()
+}
+
+/// Renders `s` as a JSON string literal, quotes included. Only the quote,
+/// the backslash and control characters are escaped (`\n`, `\r` and `\t`
+/// in short form, the rest as `\u00xx`). The canonical [`JsonValue`] form,
+/// NDJSON traces and the harness and crash-matrix dumps all escape strings
+/// here, so [`JsonValue::parse`] reads back any string they emit.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    render_string(s, &mut out);
+    out
 }
 
 fn render_string(s: &str, out: &mut String) {
@@ -480,5 +492,6 @@ mod tests {
         let v = JsonValue::Str("\u{1}\u{1f}".into());
         assert_eq!(v.render(), "\"\\u0001\\u001f\"");
         assert_eq!(JsonValue::parse(&v.render()).unwrap(), v);
+        assert_eq!(quote("\u{1}\u{1f}"), v.render(), "quote is the same codec");
     }
 }

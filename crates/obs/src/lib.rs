@@ -21,14 +21,14 @@
 //!   (the `--profile` output of the experiment harness).
 //! * [`json::JsonValue`] — a minimal recursive JSON value (objects, arrays,
 //!   strings, unsigned integers) with a canonical compact writer, for the
-//!   workspace's *nested* wire formats: the simulation service's
-//!   `dhtm-svc-v1` protocol and its persisted result records. The flat
-//!   trace validator above predates it and stays byte-for-byte unchanged.
+//!   simulation service's `dhtm-svc-v1` protocol and its persisted result
+//!   records. The trace validator above parses through it, and
+//!   [`json::quote`] is the string escaper of every JSON writer in
+//!   the workspace.
 //!
 //! Components themselves keep plain integer counters that are always on
 //! (the same discipline as the coherence layer's `MemStats`: a handful of
-//! adds per event, validated as ~zero-cost by the checked-in perf
-//! trajectory gate). The registry, trace and profile machinery only runs
+//! adds per event). The registry, trace and profile machinery only runs
 //! when a caller asks for it after a run — uninstrumented runs never build
 //! a registry, never format a string, never touch this crate's code.
 

@@ -11,6 +11,8 @@
 
 use std::fmt::Write as _;
 
+use crate::json::{quote, JsonValue};
+
 /// The trace schema identifier carried by every emitted line. Bump the
 /// suffix when the line format changes incompatibly.
 pub const TRACE_SCHEMA: &str = "dhtm-trace-v1";
@@ -65,38 +67,20 @@ impl TraceEvent {
         let mut out = String::with_capacity(96 + self.fields.len() * 24);
         let _ = write!(
             out,
-            "{{\"schema\":\"{TRACE_SCHEMA}\",\"kind\":\"{}\",\"cell\":\"{}\"",
-            escape(&self.kind),
-            escape(&self.cell),
+            "{{\"schema\":\"{TRACE_SCHEMA}\",\"kind\":{},\"cell\":{}",
+            quote(&self.kind),
+            quote(&self.cell),
         );
         if let Some(core) = self.core {
             let _ = write!(out, ",\"core\":{core}");
         }
         let _ = write!(out, ",\"cycle\":{}", self.cycle);
         for (name, value) in &self.fields {
-            let _ = write!(out, ",\"{}\":{value}", escape(name));
+            let _ = write!(out, ",{}:{value}", quote(name));
         }
         out.push('}');
         out
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A bounded ring buffer of trace events rendered to NDJSON on demand.
@@ -175,123 +159,25 @@ impl TraceWriter {
     }
 }
 
-/// A scalar value parsed back from a trace line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceScalar {
-    /// A JSON string.
-    Str(String),
-    /// A JSON unsigned integer.
-    UInt(u64),
-}
-
 /// Parses one flat trace-line JSON object into `(key, value)` pairs in
-/// source order. Accepts exactly the subset [`TraceEvent::to_ndjson`]
-/// emits: one object of string keys mapping to strings or unsigned
-/// integers, no nesting, no trailing garbage.
+/// source order: [`JsonValue::parse`] plus a check that every value is a
+/// string or an unsigned integer (no nesting), which is the subset
+/// [`TraceEvent::to_ndjson`] emits.
 ///
 /// # Errors
 ///
 /// Returns a message locating the first malformed construct.
-pub fn parse_line(line: &str) -> Result<Vec<(String, TraceScalar)>, String> {
-    let mut chars = line.trim().char_indices().peekable();
-    let mut pairs = Vec::new();
-
-    let expect = |chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-                  want: char|
-     -> Result<(), String> {
-        match chars.next() {
-            Some((_, c)) if c == want => Ok(()),
-            Some((i, c)) => Err(format!("expected '{want}' at byte {i}, found '{c}'")),
-            None => Err(format!("expected '{want}', found end of line")),
-        }
+pub fn parse_line(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
+    let JsonValue::Object(pairs) = JsonValue::parse(line)? else {
+        return Err("a trace line must be a JSON object".to_string());
     };
-
-    fn parse_string(
-        chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-    ) -> Result<String, String> {
-        match chars.next() {
-            Some((_, '"')) => {}
-            other => return Err(format!("expected string, found {other:?}")),
-        }
-        let mut out = String::new();
-        loop {
-            match chars.next() {
-                Some((_, '"')) => return Ok(out),
-                Some((i, '\\')) => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 'r')) => out.push('\r'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, 'u')) => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let (j, d) = chars
-                                .next()
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            code = code * 16
-                                + d.to_digit(16)
-                                    .ok_or_else(|| format!("bad hex digit at byte {j}"))?;
-                        }
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("invalid \\u code point {code:#x}"))?,
-                        );
-                    }
-                    other => return Err(format!("bad escape at byte {i}: {other:?}")),
-                },
-                Some((i, c)) if (c as u32) < 0x20 => {
-                    return Err(format!("unescaped control character at byte {i}"))
-                }
-                Some((_, c)) => out.push(c),
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    fn parse_uint(
-        chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-    ) -> Result<u64, String> {
-        let mut value: u64 = 0;
-        let mut digits = 0;
-        while let Some(&(_, c)) = chars.peek() {
-            let Some(d) = c.to_digit(10) else { break };
-            chars.next();
-            value = value
-                .checked_mul(10)
-                .and_then(|v| v.checked_add(u64::from(d)))
-                .ok_or_else(|| "integer overflows u64".to_string())?;
-            digits += 1;
-        }
-        if digits == 0 {
-            Err("expected an unsigned integer".to_string())
-        } else {
-            Ok(value)
-        }
-    }
-
-    expect(&mut chars, '{')?;
-    loop {
-        let key = parse_string(&mut chars)?;
-        expect(&mut chars, ':')?;
-        let value = match chars.peek() {
-            Some((_, '"')) => TraceScalar::Str(parse_string(&mut chars)?),
-            Some((_, c)) if c.is_ascii_digit() => TraceScalar::UInt(parse_uint(&mut chars)?),
-            other => {
-                return Err(format!(
-                    "expected string or unsigned integer, found {other:?}"
-                ))
-            }
-        };
-        pairs.push((key, value));
-        match chars.next() {
-            Some((_, ',')) => continue,
-            Some((_, '}')) => break,
-            other => return Err(format!("expected ',' or '}}', found {other:?}")),
-        }
-    }
-    if let Some((i, c)) = chars.next() {
-        return Err(format!("trailing garbage '{c}' at byte {i}"));
+    if let Some((key, _)) = pairs
+        .iter()
+        .find(|(_, v)| !matches!(v, JsonValue::Str(_) | JsonValue::UInt(_)))
+    {
+        return Err(format!(
+            "field '{key}' must be a string or an unsigned integer"
+        ));
     }
     Ok(pairs)
 }
@@ -305,52 +191,42 @@ pub fn parse_line(line: &str) -> Result<Vec<(String, TraceScalar)>, String> {
 ///
 /// Returns a message naming the violated constraint.
 pub fn validate_line(line: &str) -> Result<(), String> {
-    let pairs = parse_line(line)?;
-    let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    match get("schema") {
-        Some(TraceScalar::Str(s)) if s == TRACE_SCHEMA => {}
-        Some(TraceScalar::Str(s)) => return Err(format!("schema '{s}' != '{TRACE_SCHEMA}'")),
-        _ => return Err("missing string field 'schema'".to_string()),
-    }
-    match get("kind") {
-        Some(TraceScalar::Str(s)) if !s.is_empty() => {}
-        _ => return Err("missing non-empty string field 'kind'".to_string()),
-    }
-    if !matches!(get("cell"), Some(TraceScalar::Str(_))) {
-        return Err("missing string field 'cell'".to_string());
-    }
-    if !matches!(get("cycle"), Some(TraceScalar::UInt(_))) {
-        return Err("missing unsigned field 'cycle'".to_string());
-    }
-    for (key, value) in &pairs {
-        match key.as_str() {
-            "schema" | "kind" | "cell" => {}
-            _ if matches!(value, TraceScalar::UInt(_)) => {}
-            other => return Err(format!("field '{other}' must be an unsigned integer")),
-        }
-    }
-    Ok(())
+    event_from_line(line).map(drop)
 }
 
 /// Parses a validated line back into a [`TraceEvent`] (the inverse of
-/// [`TraceEvent::to_ndjson`], used by the round-trip tests).
+/// [`TraceEvent::to_ndjson`]).
 ///
 /// # Errors
 ///
-/// Returns the first validation error.
+/// Returns the first violated constraint of [`validate_line`].
 pub fn event_from_line(line: &str) -> Result<TraceEvent, String> {
-    validate_line(line)?;
     let pairs = parse_line(line)?;
+    let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+    match get("schema").and_then(JsonValue::as_str) {
+        Some(TRACE_SCHEMA) => {}
+        Some(s) => return Err(format!("schema '{s}' != '{TRACE_SCHEMA}'")),
+        None => return Err("missing string field 'schema'".to_string()),
+    }
     let mut event = TraceEvent::new("", "", 0);
-    for (key, value) in pairs {
-        match (key.as_str(), value) {
-            ("schema", _) => {}
-            ("kind", TraceScalar::Str(s)) => event.kind = s,
-            ("cell", TraceScalar::Str(s)) => event.cell = s,
-            ("core", TraceScalar::UInt(v)) => event.core = Some(v as usize),
-            ("cycle", TraceScalar::UInt(v)) => event.cycle = v,
-            (_, TraceScalar::UInt(v)) => event.fields.push((key, v)),
-            (k, TraceScalar::Str(_)) => return Err(format!("unexpected string field '{k}'")),
+    match get("kind").and_then(JsonValue::as_str) {
+        Some(kind) if !kind.is_empty() => event.kind = kind.to_string(),
+        _ => return Err("missing non-empty string field 'kind'".to_string()),
+    }
+    match get("cell").and_then(JsonValue::as_str) {
+        Some(cell) => event.cell = cell.to_string(),
+        None => return Err("missing string field 'cell'".to_string()),
+    }
+    match get("cycle").and_then(JsonValue::as_u64) {
+        Some(cycle) => event.cycle = cycle,
+        None => return Err("missing unsigned field 'cycle'".to_string()),
+    }
+    for (key, value) in &pairs {
+        match (key.as_str(), value.as_u64()) {
+            ("schema" | "kind" | "cell" | "cycle", _) => {}
+            ("core", Some(core)) => event.core = Some(core as usize),
+            (_, Some(v)) => event.fields.push((key.clone(), v)),
+            (other, None) => return Err(format!("field '{other}' must be an unsigned integer")),
         }
     }
     Ok(event)
@@ -416,6 +292,10 @@ mod tests {
                 "{\"schema\":\"dhtm-trace-v1\",\"kind\":\"x\",\"cell\":\"c\",\"cycle\":1}}",
                 "trailing garbage",
             ),
+            (
+                "{\"schema\":\"dhtm-trace-v1\",\"kind\":\"x\",\"cell\":\"c\",\"cycle\":1,\"cycle\":2}",
+                "duplicate key",
+            ),
             ("not json", "not json"),
         ] {
             assert!(validate_line(line).is_err(), "accepted {why}: {line}");
@@ -453,8 +333,8 @@ mod tests {
     #[test]
     fn parse_line_handles_escapes_and_overflow() {
         let pairs = parse_line("{\"a\":\"x\\u0041\\n\",\"b\":18446744073709551615}").unwrap();
-        assert_eq!(pairs[0].1, TraceScalar::Str("xA\n".to_string()));
-        assert_eq!(pairs[1].1, TraceScalar::UInt(u64::MAX));
+        assert_eq!(pairs[0].1, JsonValue::Str("xA\n".to_string()));
+        assert_eq!(pairs[1].1, JsonValue::UInt(u64::MAX));
         assert!(parse_line("{\"b\":18446744073709551616}").is_err());
     }
 }

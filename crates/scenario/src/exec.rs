@@ -55,8 +55,7 @@ impl ResolvedSpec {
 
     /// Builds a runnable form directly from raw parts, bypassing the
     /// overlay/seed derivation — for callers that already hold a resolved
-    /// configuration and an exact workload seed (the crash matrix, the
-    /// legacy `run_pair` path).
+    /// configuration and an exact workload seed (the crash matrix).
     ///
     /// # Panics
     ///

@@ -39,8 +39,7 @@ impl Default for SpecLimits {
 /// engine* (by registry id), *which workload* (by name), *which machine*
 /// (named base + sparse overlay), *how long* (limits) and *which stream*
 /// (base seed). The single typed entry point the harness matrix, the crash
-/// matrix, the bench bins and the spec-file CLI all construct runs
-/// through.
+/// matrix and the spec-file CLI all construct runs through.
 ///
 /// ```
 /// use dhtm_scenario::SimSpec;

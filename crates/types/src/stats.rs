@@ -85,7 +85,7 @@ pub struct RunStats {
     pub committed: u64,
     /// Driver events processed (begin/op/commit steps across all cores) —
     /// the denominator of the simulator's own steps-per-second throughput
-    /// tracked by the `perf_trajectory` benchmark.
+    /// (`steps_per_s` in the `perfbench` benchmark).
     pub steps: u64,
     /// Total transaction attempts that aborted, by reason.
     pub aborts: BTreeMap<AbortReason, u64>,

@@ -4,7 +4,7 @@
 //! cargo run --release --example oltp_tatp
 //! ```
 
-use dhtm_baselines::build_engine;
+use dhtm_baselines::registry;
 use dhtm_sim::driver::{RunLimits, Simulator};
 use dhtm_sim::machine::Machine;
 use dhtm_types::config::SystemConfig;
@@ -19,7 +19,9 @@ fn main() {
     let mut results = Vec::new();
     for design in designs {
         let mut machine = Machine::new(cfg.clone());
-        let mut engine = build_engine(design, &cfg);
+        let mut engine = registry::resolve(&design.into())
+            .expect("every design is a builtin engine")
+            .build(&cfg);
         let mut workload = TatpWorkload::new(11);
         let res = Simulator::new().run(&mut machine, &mut engine, &mut workload, &limits);
         results.push((design, res));

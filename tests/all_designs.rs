@@ -2,7 +2,7 @@
 //! same machine configuration, commits the requested number of transactions,
 //! and the durable designs leave a recoverable persistent state.
 
-use dhtm_baselines::build_engine;
+use dhtm_baselines::registry;
 use dhtm_sim::driver::{RunLimits, Simulator};
 use dhtm_sim::machine::Machine;
 use dhtm_types::config::SystemConfig;
@@ -16,7 +16,9 @@ fn run(
 ) -> (dhtm_sim::driver::SimulationResult, Machine) {
     let cfg = SystemConfig::small_test();
     let mut machine = Machine::new(cfg.clone());
-    let mut engine = build_engine(design, &cfg);
+    let mut engine = registry::resolve(&design.into())
+        .expect("every design is a builtin engine")
+        .build(&cfg);
     let mut wl = micro_by_name(workload, 5).unwrap();
     let limits = RunLimits::quick().with_target_commits(commits);
     let res = Simulator::new().run(&mut machine, &mut engine, wl.as_mut(), &limits);

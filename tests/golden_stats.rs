@@ -6,13 +6,13 @@
 //! shifting every figure. Update the constants ONLY when a change to
 //! simulated behaviour is intended, and say so in the commit message.
 
-use dhtm_baselines::build_engine;
-use dhtm_harness::workload_by_name;
+use dhtm_baselines::registry;
 use dhtm_sim::driver::{RunLimits, Simulator};
 use dhtm_sim::machine::Machine;
 use dhtm_types::config::SystemConfig;
 use dhtm_types::policy::DesignKind;
 use dhtm_types::stats::RunStats;
+use dhtm_workloads::try_by_name;
 
 const GOLDEN_WORKLOAD: &str = "hash";
 const GOLDEN_SEED: u64 = 0x15CA_2018;
@@ -21,8 +21,10 @@ const GOLDEN_COMMITS: u64 = 30;
 fn run_design(kind: DesignKind) -> RunStats {
     let cfg = SystemConfig::small_test();
     let mut machine = Machine::new(cfg.clone());
-    let mut engine = build_engine(kind, &cfg);
-    let mut workload = workload_by_name(GOLDEN_WORKLOAD, GOLDEN_SEED).expect("golden workload");
+    let mut engine = registry::resolve(&kind.into())
+        .expect("every design is a builtin engine")
+        .build(&cfg);
+    let mut workload = try_by_name(GOLDEN_WORKLOAD, GOLDEN_SEED).expect("golden workload");
     let limits = RunLimits::quick().with_target_commits(GOLDEN_COMMITS);
     Simulator::new()
         .run(&mut machine, &mut engine, workload.as_mut(), &limits)
