@@ -9,11 +9,7 @@
 //! [`TxEngine`] by `match`: the generic driver monomorphises over the enum
 //! and every engine call becomes direct (and inlinable) dispatch.
 //!
-//! Extensibility stays where it was: the engine registry still accepts
-//! out-of-tree `Box<dyn TxEngine>` factories, which ride along in the
-//! [`EngineDispatch::Custom`] fallback variant — one indirection for
-//! engines the enum cannot know about, zero for the canonical set. Specs,
-//! matrices and reports keep resolving engines exclusively by
+//! Specs, matrices and reports resolve engines exclusively by
 //! [`crate::registry::EngineId`]; this enum is a dispatch vehicle, not a
 //! second identity.
 
@@ -30,13 +26,12 @@ use dhtm_types::stats::TxStats;
 
 use crate::{AtomEngine, LogTmAtomEngine, NpEngine, SdTmEngine, SoEngine};
 
-/// An engine built by the registry: one variant per canonical design (the
-/// DHTM variant also carries the paper's ablation options, which are plain
-/// fields of [`DhtmEngine`]), plus the [`EngineDispatch::Custom`] escape
-/// hatch for out-of-tree registrations.
+/// An engine built from the engine table: one variant per canonical design
+/// (the DHTM variant also carries the paper's ablation options, which are
+/// plain fields of [`DhtmEngine`]).
 ///
 /// Implements [`TxEngine`] by match dispatch, so a driver monomorphised
-/// over this type calls the canonical engines statically.
+/// over this type calls every engine statically.
 pub enum EngineDispatch {
     /// Locks + Mnemosyne-style software redo logging (SO).
     So(SoEngine),
@@ -50,10 +45,6 @@ pub enum EngineDispatch {
     Dhtm(DhtmEngine),
     /// Volatile RTM-like HTM, no durability (NP).
     Np(NpEngine),
-    /// An out-of-tree engine registered through the registry's boxed
-    /// factory API. Off the closed set, so calls stay virtual — the price
-    /// of extensibility is paid only by extensions.
-    Custom(Box<dyn TxEngine>),
 }
 
 impl fmt::Debug for EngineDispatch {
@@ -65,7 +56,6 @@ impl fmt::Debug for EngineDispatch {
             EngineDispatch::LogTmAtom(e) => e.fmt(f),
             EngineDispatch::Dhtm(e) => e.fmt(f),
             EngineDispatch::Np(e) => e.fmt(f),
-            EngineDispatch::Custom(e) => write!(f, "Custom({:?})", e.design()),
         }
     }
 }
@@ -79,7 +69,6 @@ macro_rules! dispatch {
             EngineDispatch::LogTmAtom($e) => $call,
             EngineDispatch::Dhtm($e) => $call,
             EngineDispatch::Np($e) => $call,
-            EngineDispatch::Custom($e) => $call,
         }
     };
 }
@@ -183,10 +172,6 @@ mod tests {
                 EngineDispatch::Np(NpEngine::new(&cfg)),
                 DesignKind::NonPersistent,
             ),
-            (
-                EngineDispatch::Custom(Box::new(NpEngine::new(&cfg))),
-                DesignKind::NonPersistent,
-            ),
         ];
         for (engine, design) in &cases {
             assert_eq!(engine.design(), *design);
@@ -203,7 +188,7 @@ mod tests {
         let cfg = SystemConfig::small_test();
         let run = |boxed: bool| {
             let mut machine = Machine::new(cfg.clone());
-            let mut workload = dhtm_workloads::by_name("hash", 7).expect("known workload");
+            let mut workload = dhtm_workloads::try_by_name("hash", 7).expect("known workload");
             let limits = RunLimits::quick().with_target_commits(10);
             let sim = Simulator::new();
             if boxed {

@@ -15,14 +15,13 @@
 //! | [`NpEngine`] (NP) | RTM-like HTM | none (volatile upper bound) |
 //!
 //! Every engine implements [`dhtm_sim::engine::TxEngine`] and is
-//! constructed through the [`registry`]: an extensible catalogue of named
-//! [`registry::EngineFactory`] entries with capability metadata. The six
-//! designs register under their canonical ids ("so", "sdtm", "atom",
-//! "logtm-atom", "dhtm", "np") alongside the built-in DHTM variants; new
-//! variants register via [`registry::register_global`] without touching any
-//! dispatch code. A [`DesignKind`](dhtm_types::policy::DesignKind) converts
-//! into its canonical id, so `registry::resolve(&kind.into())` builds any
-//! of the paper's designs.
+//! constructed through the [`registry`]: one static table,
+//! [`registry::ENGINES`], lists the six designs under their canonical ids
+//! ("so", "sdtm", "atom", "logtm-atom", "dhtm", "np") followed by the
+//! built-in DHTM variants ("dhtm-instant", "dhtm-word",
+//! "dhtm-no-overflow"). A [`DesignKind`](dhtm_types::policy::DesignKind)
+//! converts into its canonical id, so `registry::resolve(&kind.into())`
+//! finds any of the paper's designs.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -37,7 +36,7 @@ pub mod so;
 pub use atom::AtomEngine;
 pub use dispatch::EngineDispatch;
 pub use logtm_atom::LogTmAtomEngine;
-pub use registry::{EngineFactory, EngineId, EngineInfo, EngineRegistry};
+pub use registry::{Engine, EngineId, ENGINES};
 pub use sdtm::SdTmEngine;
 pub use so::SoEngine;
 

@@ -34,7 +34,7 @@ pub struct CrashCell {
 
 impl CrashCell {
     /// The cell's runnable form: its engine resolved through the engine
-    /// registry, with the cell's exact configuration and workload seed —
+    /// table, with the cell's exact configuration and workload seed —
     /// the single construction path the profile and capture runs share
     /// with the experiment harness.
     pub fn resolved(&self) -> dhtm_scenario::ResolvedSpec {

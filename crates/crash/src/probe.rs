@@ -10,7 +10,7 @@
 //! replays the identical execution with the same crash points armed
 //! through the session. Because both runs are seeded identically, the
 //! profile's timeline indexes the capture run's snapshots exactly. Engines
-//! are built through the engine registry via the scenario exec layer
+//! are built through the engine table via the scenario exec layer
 //! ([`CrashCell::resolved`]), the same construction path the experiment
 //! harness uses.
 

@@ -59,7 +59,7 @@ pub const USAGE: &str = "options:
   --experiment NAME    experiment to run, or 'all'
   --crash-points N     (recovery experiment) stratified crash points per cell (default 8)
   --crash-at CYCLE     (recovery experiment) add a crash at the given cycle; repeatable
-  --spec PATH...       run scenario spec files (.toml/.json) instead of a catalogue
+  --spec PATH...       run scenario spec files (.toml) instead of a catalogue
                        experiment; globs expand naturally
   --trace PATH         write an NDJSON event trace (schema dhtm-trace-v1) to PATH
   --profile            print an end-of-run component-stat profile table
@@ -116,7 +116,7 @@ impl HarnessOpts {
                     );
                 }
                 "--spec" => {
-                    // Greedy: `--spec a.toml b.toml c.json` (a shell glob
+                    // Greedy: `--spec a.toml b.toml c.toml` (a shell glob
                     // expansion) loads every listed file. Any dash-prefixed
                     // argument ends the list — short flags like `-h` are
                     // flags, not spec paths.

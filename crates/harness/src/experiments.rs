@@ -128,7 +128,7 @@ pub fn catalogue_matrices() -> Vec<(&'static str, Matrix)> {
 }
 
 /// Runs spec files (`--spec PATH...`) as one ad-hoc experiment: each file
-/// is loaded, validated against the engine registry and executed; rows are
+/// is loaded, validated against the engine table and executed; rows are
 /// labelled `spec:<file-stem>` so mixed dumps stay attributable.
 ///
 /// Files that resolve to the same spec content hash are deduplicated:

@@ -7,9 +7,8 @@
 //! An experiment is a [`matrix::Matrix`]: the cross product of
 //!
 //! * **engines** — [`dhtm_baselines::registry::EngineId`]s resolved
-//!   through the engine registry: the paper's designs, the built-in DHTM
-//!   variants ("dhtm-instant", ...) and any out-of-tree engine registered
-//!   via `dhtm_baselines::registry::register_global`,
+//!   through the engine table [`dhtm_baselines::registry::ENGINES`]: the
+//!   paper's designs and the built-in DHTM variants ("dhtm-instant", ...),
 //! * **workloads** — the six micro-benchmarks, TATP and TPC-C, by name,
 //! * **core counts** — 1..16 cores (the paper evaluates 8),
 //! * **configs** — named [`SystemConfig`] variants (Table III baseline,

@@ -105,9 +105,8 @@ impl CommitSpec {
 }
 
 /// A declarative experiment matrix: `engines × workloads × core_counts ×
-/// configs`. Engines are [`EngineId`]s resolved through the process-wide
-/// engine registry, so any registered variant — built-in or out-of-tree —
-/// can sit on the engine axis.
+/// configs`. Engines are [`EngineId`]s resolved through the engine table,
+/// so any of its variants can sit on the engine axis.
 #[derive(Debug, Clone)]
 pub struct Matrix {
     /// The engines to run (at least one).
@@ -291,7 +290,7 @@ impl Cell {
         self.spec.limits.target_commits
     }
 
-    /// The engine's table label, from the registry metadata.
+    /// The engine's table label.
     pub fn engine_label(&self) -> String {
         registry::label_of(&self.spec.engine)
     }
@@ -410,7 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_labels_come_from_the_registry() {
+    fn engine_labels_come_from_the_engine_table() {
         let m = Matrix::new()
             .engines([
                 EngineId::from(DesignKind::SoftwareOnly),

@@ -59,11 +59,11 @@ impl Row {
 
 /// Runs a single cell to completion on the calling thread: the cell's
 /// [`dhtm_scenario::SimSpec`] is validated, resolved against the engine
-/// registry and executed.
+/// table and executed.
 ///
 /// # Panics
 ///
-/// Panics if the cell's spec fails validation (an unregistered engine id
+/// Panics if the cell's spec fails validation (an engine id outside the table
 /// or unknown workload on the matrix axes is a caller bug).
 pub fn run_cell(cell: &Cell) -> Row {
     let result = cell

@@ -10,7 +10,7 @@
 //! backoff resume sorted past the ring horizon) would silently reshuffle
 //! the schedule and shift every figure.
 //!
-//! So: run real simulations — random workloads, every registered engine,
+//! So: run real simulations — random workloads, every engine in the table,
 //! 1–16 cores — record the exact `(pop time, core, re-push time)` trace
 //! the calendar queue produced, and replay it against a plain
 //! `BinaryHeap`. Every pop must match event-for-event.
@@ -20,7 +20,7 @@ use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
 
-use dhtm_baselines::EngineRegistry;
+use dhtm_baselines::registry::{EngineId, ENGINES};
 use dhtm_scenario::{ResolvedSpec, SpecLimits};
 use dhtm_sim::driver::StepEvent;
 use dhtm_sim::Simulator;
@@ -35,8 +35,7 @@ type TraceEntry = (u64, usize, u64);
 /// `StepEvent::Progress::time` — the driver always re-schedules the
 /// stepped core at its post-step local clock.
 fn schedule_trace(engine_idx: usize, workload: &str, cores: usize, seed: u64) -> Vec<TraceEntry> {
-    let ids = EngineRegistry::builtin().ids();
-    let engine_id = ids[engine_idx % ids.len()].clone();
+    let engine_id = EngineId::new(ENGINES[engine_idx % ENGINES.len()].id);
     let cfg = BaseConfig::Small.resolve().with_num_cores(cores);
     // OLTP transactions are an order of magnitude larger than the
     // micro-benchmark batches; a smaller commit target keeps each proptest
@@ -115,7 +114,7 @@ fn every_builtin_engine_matches_the_heap_on_a_contended_run() {
     // count: contention means aborts, and aborts mean exponential backoff
     // pushes far beyond the pop time — the exact resumes that would cross
     // a mis-handled calendar ring horizon.
-    let n = EngineRegistry::builtin().ids().len();
+    let n = ENGINES.len();
     for engine_idx in 0..n {
         let trace = schedule_trace(engine_idx, "hash", 8, 0x15CA_2018);
         assert!(!trace.is_empty());

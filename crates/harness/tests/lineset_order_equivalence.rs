@@ -20,7 +20,7 @@
 //!    implementation for the fixed golden configurations — if the swap
 //!    had reordered a single flush, those exact-equality pins would trip.
 //! 3. This test widens layer 2 across the whole catalogue: every one of
-//!    the 9 registry engines × 1–16 cores × random workloads/seeds, run
+//!    the 9 table engines × 1–16 cores × random workloads/seeds, run
 //!    through the real driver twice. The complete `RunStats` fingerprint
 //!    must be bit-identical between the two runs — a `LineSet` whose
 //!    order depended on insertion history, allocation reuse, or spill
@@ -30,7 +30,7 @@
 
 use proptest::prelude::*;
 
-use dhtm_baselines::EngineRegistry;
+use dhtm_baselines::registry::{EngineId, ENGINES};
 use dhtm_scenario::{ResolvedSpec, SpecLimits};
 use dhtm_sim::Simulator;
 use dhtm_types::config::BaseConfig;
@@ -41,8 +41,7 @@ use dhtm_types::config::BaseConfig;
 /// log traffic), which is downstream of every set-iteration order in the
 /// engine's commit/abort paths.
 fn run_fingerprint(engine_idx: usize, workload: &str, cores: usize, seed: u64) -> String {
-    let ids = EngineRegistry::builtin().ids();
-    let engine_id = ids[engine_idx % ids.len()].clone();
+    let engine_id = EngineId::new(ENGINES[engine_idx % ENGINES.len()].id);
     let cfg = BaseConfig::Small.resolve().with_num_cores(cores);
     let target_commits = match workload {
         "tatp" | "tpcc" => 3,
@@ -96,8 +95,8 @@ fn every_builtin_engine_is_deterministic_on_a_contended_run() {
     // count plus the 1-core and 16-core extremes: contention produces
     // aborts, and aborts exercise the scratch-buffer invalidation and
     // undo walks that replaced the per-abort `Vec`s.
-    let n = EngineRegistry::builtin().ids().len();
-    assert_eq!(n, 9, "the registry should carry the 9 builtin engines");
+    let n = ENGINES.len();
+    assert_eq!(n, 9, "the engine table should carry 9 engines");
     for engine_idx in 0..n {
         for &cores in &[1usize, 8, 16] {
             let a = run_fingerprint(engine_idx, "hash", cores, 0x15CA_2018);

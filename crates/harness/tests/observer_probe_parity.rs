@@ -10,21 +10,20 @@
 //! Each case runs one (engine, workload, cores, seed) cell twice through
 //! the real driver: plain via `ResolvedSpec::run`, and instrumented via
 //! `run_probed` with a `TraceRecorder` attached. The complete `RunStats`
-//! fingerprint must match exactly, across all 9 registry engines and
+//! fingerprint must match exactly, across all 9 table engines and
 //! 1–16 cores. The trace stream itself is then held to the NDJSON schema:
 //! every emitted line validates against `dhtm-trace-v1` and survives a
 //! parse → re-render round trip.
 
 use proptest::prelude::*;
 
-use dhtm_baselines::EngineRegistry;
+use dhtm_baselines::registry::{EngineId, ENGINES};
 use dhtm_obs::{event_from_line, validate_line};
 use dhtm_scenario::{ResolvedSpec, SpecLimits, TraceRecorder};
 use dhtm_types::config::BaseConfig;
 
 fn resolved_cell(engine_idx: usize, workload: &str, cores: usize, seed: u64) -> ResolvedSpec {
-    let ids = EngineRegistry::builtin().ids();
-    let engine_id = ids[engine_idx % ids.len()].clone();
+    let engine_id = EngineId::new(ENGINES[engine_idx % ENGINES.len()].id);
     let cfg = BaseConfig::Small.resolve().with_num_cores(cores);
     let target_commits = match workload {
         "tatp" | "tpcc" => 3,

@@ -1,14 +1,14 @@
 //! Executing a spec: the bridge from the serializable [`SimSpec`] to the
 //! simulator.
 //!
-//! A [`ResolvedSpec`] is the runnable form: the engine factory has been
-//! looked up in the registry, the config materialised and the workload
-//! seed derived. Everything in the workspace that runs a simulation — the
+//! A [`ResolvedSpec`] is the runnable form: the engine has been looked up
+//! in the engine table, the config materialised and the workload seed
+//! derived. Everything in the workspace that runs a simulation — the
 //! harness worker pool, the crash prober, the spec-file CLI — funnels
 //! through this one construction path, so "how a run is built" is defined
 //! exactly once.
 
-use dhtm_baselines::registry::{self, EngineFactory, EngineId};
+use dhtm_baselines::registry::{self, Engine, EngineId};
 use dhtm_baselines::EngineDispatch;
 use dhtm_obs::ProbeRegistry;
 use dhtm_sim::driver::{RunLimits, SimulationResult, Simulator};
@@ -20,14 +20,14 @@ use dhtm_types::config::SystemConfig;
 
 use crate::spec::{SimSpec, SpecLimits};
 
-/// A spec resolved against the engine registry: directly runnable, no
+/// A spec resolved against the engine table: directly runnable, no
 /// further lookups or derivations. Unlike [`SimSpec`] it can also carry a
 /// raw (non-overlay) configuration and an explicit workload seed, which is
 /// what the crash subsystem and legacy harness entry points need.
 #[derive(Debug, Clone)]
 pub struct ResolvedSpec {
-    /// The engine factory (cheap clone of the registry entry).
-    pub factory: EngineFactory,
+    /// The engine's table entry.
+    pub engine: &'static Engine,
     /// The workload name.
     pub workload: String,
     /// The fully materialised machine configuration.
@@ -39,13 +39,13 @@ pub struct ResolvedSpec {
 }
 
 impl ResolvedSpec {
-    /// Resolves a validated spec (panics on an unregistered engine — the
-    /// caller validates first; see [`SimSpec::resolve`]).
+    /// Resolves a validated spec (panics on an engine outside the table —
+    /// the caller validates first; see [`SimSpec::resolve`]).
     pub(crate) fn from_spec(spec: &SimSpec) -> Self {
-        let factory =
-            registry::resolve(&spec.engine).expect("spec validated: engine is registered");
+        let engine =
+            registry::resolve(&spec.engine).expect("spec validated: engine is in the table");
         ResolvedSpec {
-            factory,
+            engine,
             workload: spec.workload.clone(),
             config: spec.config(),
             limits: spec.limits,
@@ -59,7 +59,7 @@ impl ResolvedSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `engine` is not registered.
+    /// Panics if `engine` is not in the engine table.
     pub fn from_parts(
         engine: &EngineId,
         workload: impl Into<String>,
@@ -67,10 +67,10 @@ impl ResolvedSpec {
         limits: SpecLimits,
         workload_seed: u64,
     ) -> Self {
-        let factory = registry::resolve(engine)
-            .unwrap_or_else(|| panic!("engine '{engine}' is not registered"));
+        let engine = registry::resolve(engine)
+            .unwrap_or_else(|| panic!("engine '{engine}' is not in the engine table"));
         ResolvedSpec {
-            factory,
+            engine,
             workload: workload.into(),
             config,
             limits,
@@ -88,13 +88,12 @@ impl ResolvedSpec {
     /// Panics if the workload name is unknown (validated specs cannot hit
     /// this).
     ///
-    /// The engine comes back as the registry's [`EngineDispatch`]: a closed
-    /// enum over the built-in designs, so the driver's step loop
-    /// monomorphises to a match instead of a vtable call. Out-of-tree
-    /// engines ride in its `Custom` variant.
+    /// The engine comes back as an [`EngineDispatch`]: a closed enum over
+    /// the built-in designs, so the driver's step loop monomorphises to a
+    /// match instead of a vtable call.
     pub fn components(&self) -> (Machine, EngineDispatch, Box<dyn Workload>, RunLimits) {
         let machine = Machine::new(self.config.clone());
-        let engine = self.factory.build(&self.config);
+        let engine = self.engine.build(&self.config);
         let workload = dhtm_workloads::try_by_name(&self.workload, self.workload_seed)
             .unwrap_or_else(|e| panic!("{e}"));
         let limits = RunLimits {
@@ -123,9 +122,9 @@ impl ResolvedSpec {
         )
     }
 
-    /// The engine's table label (from the registry metadata).
+    /// The engine's table label.
     pub fn label(&self) -> &str {
-        &self.factory.info().label
+        self.engine.label
     }
 
     /// Runs the spec (optionally observed) and collects the component-stat

@@ -1,13 +1,13 @@
-//! Canonical TOML and JSON forms of a [`SimSpec`].
+//! The canonical TOML form of a [`SimSpec`].
 //!
 //! The container this repository builds in has no crates registry, so the
-//! (de)serialisers are hand-rolled for exactly the spec grammar — a flat
+//! (de)serialiser is hand-rolled for exactly the spec grammar — a flat
 //! table of scalars plus one optional `[config]` overlay table — and are
 //! strict: unknown keys, sections or malformed values are errors, never
 //! silently ignored (a typo'd overlay key must not silently run the
 //! default machine).
 //!
-//! Writers emit fields in one canonical order with `None` overlay fields
+//! The writer emits fields in one canonical order with `None` overlay fields
 //! omitted, so the emitted text doubles as the spec's content-hash input.
 
 use dhtm_baselines::registry::EngineId;
@@ -21,7 +21,7 @@ use crate::spec::{SimSpec, SpecError, SpecLimits};
 // ---------------------------------------------------------------------------
 
 /// Overlay fields as (key, rendered value) pairs, canonical order, set
-/// fields only — shared by both writers so the formats cannot drift.
+/// fields only.
 fn overlay_fields(o: &ConfigOverlay) -> Vec<(&'static str, String)> {
     let mut fields = Vec::new();
     if let Some(v) = o.num_cores {
@@ -75,34 +75,11 @@ pub fn to_toml(spec: &SimSpec) -> String {
     out
 }
 
-/// Serialises a spec to canonical JSON (one object, `config` nested).
-pub fn to_json(spec: &SimSpec) -> String {
-    let mut out = String::from("{");
-    out.push_str(&format!("\"engine\": \"{}\", ", spec.engine));
-    out.push_str(&format!("\"workload\": \"{}\", ", spec.workload));
-    out.push_str(&format!("\"base_config\": \"{}\", ", spec.base));
-    out.push_str(&format!("\"seed\": {}, ", spec.seed));
-    out.push_str(&format!("\"commits\": {}, ", spec.limits.target_commits));
-    out.push_str(&format!("\"max_cycles\": {}", spec.limits.max_cycles));
-    let overlay = overlay_fields(&spec.overlay);
-    if !overlay.is_empty() {
-        out.push_str(", \"config\": {");
-        let rendered: Vec<String> = overlay
-            .into_iter()
-            .map(|(key, value)| format!("\"{key}\": {value}"))
-            .collect();
-        out.push_str(&rendered.join(", "));
-        out.push('}');
-    }
-    out.push_str("}\n");
-    out
-}
-
 // ---------------------------------------------------------------------------
-// Shared field assembly
+// Field assembly
 // ---------------------------------------------------------------------------
 
-/// One parsed scalar value, format-independent.
+/// One parsed scalar value.
 #[derive(Debug, Clone, PartialEq)]
 enum Scalar {
     Str(String),
@@ -156,9 +133,9 @@ impl Scalar {
     }
 }
 
-/// Builds a [`SimSpec`] from parsed `(section, key, value)` triples —
-/// shared by the TOML and JSON parsers. `section` is `None` for top-level
-/// keys, `Some("config")` for overlay keys.
+/// Builds a [`SimSpec`] from parsed `(section, key, value)` triples.
+/// `section` is `None` for top-level keys, `Some("config")` for overlay
+/// keys.
 fn assemble(fields: Vec<(Option<String>, String, Scalar)>) -> Result<SimSpec, SpecError> {
     let mut engine: Option<EngineId> = None;
     let mut workload: Option<String> = None;
@@ -296,152 +273,6 @@ pub fn from_toml(input: &str) -> Result<SimSpec, SpecError> {
     assemble(fields)
 }
 
-// ---------------------------------------------------------------------------
-// JSON parser
-// ---------------------------------------------------------------------------
-
-struct JsonCursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonCursor<'a> {
-    fn new(input: &'a str) -> Self {
-        JsonCursor {
-            bytes: input.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), SpecError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(SpecError::Parse(format!(
-                "expected '{}' at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, SpecError> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'"' => {
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| SpecError::Parse("invalid utf-8 in string".into()))?
-                        .to_string();
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                b'\\' => {
-                    return Err(SpecError::Parse(
-                        "escapes are not supported in spec strings".into(),
-                    ))
-                }
-                _ => self.pos += 1,
-            }
-        }
-        Err(SpecError::Parse("unterminated string".into()))
-    }
-
-    fn scalar(&mut self) -> Result<Scalar, SpecError> {
-        if self.peek() == Some(b'"') {
-            return self.string().map(Scalar::Str);
-        }
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| SpecError::Parse("invalid utf-8 in number".into()))?;
-        if raw.is_empty() {
-            return Err(SpecError::Parse(format!(
-                "expected a value at byte {start}"
-            )));
-        }
-        parse_scalar(raw)
-    }
-
-    /// Parses `{ "key": scalar-or-config-object, ... }`.
-    fn object(
-        &mut self,
-        section: Option<String>,
-        fields: &mut Vec<(Option<String>, String, Scalar)>,
-    ) -> Result<(), SpecError> {
-        self.expect(b'{')?;
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            if self.peek() == Some(b'{') {
-                if section.is_some() || key != "config" {
-                    return Err(SpecError::Parse(format!(
-                        "unexpected nested object under '{key}'"
-                    )));
-                }
-                self.object(Some("config".to_string()), fields)?;
-            } else {
-                fields.push((section.clone(), key, self.scalar()?));
-            }
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => {
-                    return Err(SpecError::Parse(format!(
-                        "expected ',' or '}}' at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-}
-
-/// Parses the spec's JSON form (one object, optional nested `"config"`).
-pub fn from_json(input: &str) -> Result<SimSpec, SpecError> {
-    let mut cursor = JsonCursor::new(input);
-    let mut fields = Vec::new();
-    cursor.object(None, &mut fields)?;
-    cursor.skip_ws();
-    if cursor.pos != cursor.bytes.len() {
-        return Err(SpecError::Parse(format!(
-            "trailing content after the spec object at byte {}",
-            cursor.pos
-        )));
-    }
-    assemble(fields)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,17 +307,9 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_a_rich_spec() {
-        let spec = rich_spec();
-        let text = to_json(&spec);
-        assert_eq!(SimSpec::from_json(&text).unwrap(), spec);
-    }
-
-    #[test]
     fn minimal_spec_round_trips_with_defaults() {
         let spec = SimSpec::builder("so", "hash").build_unchecked();
         assert_eq!(SimSpec::from_toml(&to_toml(&spec)).unwrap(), spec);
-        assert_eq!(SimSpec::from_json(&to_json(&spec)).unwrap(), spec);
         // A hand-written two-line file is enough.
         let parsed = SimSpec::from_toml("engine = \"so\"\nworkload = \"hash\"\n").unwrap();
         assert_eq!(parsed, spec);
@@ -509,10 +332,12 @@ mod tests {
             "engine = \"so\"\nworkload = \"hash\"\n[config]\nlog_bufer_entries = 4\n"
         )
         .is_err());
-        assert!(
-            SimSpec::from_json("{\"engine\": \"so\", \"workload\": \"hash\", \"warp\": 9}")
-                .is_err()
-        );
+        // Spec files are TOML only: any other extension is rejected before
+        // the file is read.
+        assert!(matches!(
+            SimSpec::load(std::path::Path::new("spec.json")),
+            Err(SpecError::Parse(msg)) if msg.contains("unsupported spec extension")
+        ));
     }
 
     #[test]
@@ -522,7 +347,7 @@ mod tests {
             Err(SpecError::Parse(msg)) if msg.contains("engine")
         ));
         assert!(matches!(
-            SimSpec::from_json("{\"engine\": \"so\"}"),
+            SimSpec::from_toml("engine = \"so\"\n"),
             Err(SpecError::Parse(msg)) if msg.contains("workload")
         ));
     }
@@ -533,8 +358,6 @@ mod tests {
         assert!(
             SimSpec::from_toml("engine = \"so\"\nworkload = \"hash\"\nseed = \"x\"\n").is_err()
         );
-        assert!(SimSpec::from_json("{\"engine\": \"so\", \"workload\": \"hash\"").is_err());
-        assert!(SimSpec::from_json("{} trailing").is_err());
         assert!(SimSpec::from_toml(
             "engine = \"so\"\nworkload = \"hash\"\n[config]\nconflict_policy = \"dice\"\n"
         )

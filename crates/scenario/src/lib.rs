@@ -8,20 +8,20 @@
 //!
 //! A spec names:
 //!
-//! * an **engine** by [`dhtm_baselines::registry::EngineId`] (any of the
-//!   six designs, a built-in DHTM variant, or an out-of-tree engine
-//!   registered via [`dhtm_baselines::registry::register_global`]),
+//! * an **engine** by [`dhtm_baselines::registry::EngineId`] (any entry
+//!   of the engine table [`dhtm_baselines::registry::ENGINES`]: the six
+//!   designs or a built-in DHTM variant),
 //! * a **workload** by name,
 //! * a machine as a named [`dhtm_types::config::BaseConfig`] plus a sparse
 //!   [`dhtm_types::config::ConfigOverlay`],
 //! * run **limits** (commit target, cycle cap) and a base **seed**.
 //!
-//! Specs round-trip through TOML and JSON ([`mod@format`]), carry a stable
+//! Specs round-trip through TOML ([`mod@format`]), carry a stable
 //! [`spec::SimSpec::content_hash`] identity and reproduce the experiment
 //! harness's per-cell seed derivation exactly
 //! ([`spec::SimSpec::derived_seed`]), so a spec file is a complete,
 //! reproducible description of a run. [`exec`] resolves a spec against the
-//! engine registry and executes it; [`metrics::MetricsSink`] is a streaming
+//! engine table and executes it; [`metrics::MetricsSink`] is a streaming
 //! [`dhtm_sim::observer::SimObserver`] over any spec run.
 
 #![warn(missing_docs)]

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use dhtm_baselines::registry::{self, EngineId};
+use dhtm_baselines::registry::{self, EngineId, ENGINES};
 use dhtm_sim::driver::SimulationResult;
 use dhtm_sim::observer::SimObserver;
 use dhtm_types::config::{BaseConfig, ConfigOverlay, SystemConfig};
@@ -36,7 +36,7 @@ impl Default for SpecLimits {
 }
 
 /// A complete, serializable description of one simulation run: *which
-/// engine* (by registry id), *which workload* (by name), *which machine*
+/// engine* (by engine-table id), *which workload* (by name), *which machine*
 /// (named base + sparse overlay), *how long* (limits) and *which stream*
 /// (base seed). The single typed entry point the harness matrix, the crash
 /// matrix and the spec-file CLI all construct runs through.
@@ -55,7 +55,7 @@ impl Default for SpecLimits {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSpec {
-    /// The engine's registry id.
+    /// The engine's id in [`dhtm_baselines::registry::ENGINES`].
     pub engine: EngineId,
     /// The workload name ("queue".."rbtree", "tatp", "tpcc").
     pub workload: String,
@@ -116,9 +116,9 @@ impl SimSpec {
         dhtm_types::seed::hash_hex(self.content_hash())
     }
 
-    /// Validates the spec: the engine must be registered, the workload
-    /// known, the resolved config internally consistent and the limits
-    /// positive.
+    /// Validates the spec: the engine must be in the engine table, the
+    /// workload known, the resolved config internally consistent and the
+    /// limits positive.
     ///
     /// # Errors
     ///
@@ -127,7 +127,7 @@ impl SimSpec {
         if registry::resolve(&self.engine).is_none() {
             return Err(SpecError::UnknownEngine(self.engine.clone()));
         }
-        if !dhtm_workloads::is_known(&self.workload) {
+        if !dhtm_workloads::NAMES.contains(&self.workload.as_str()) {
             return Err(SpecError::UnknownWorkload(self.workload.clone()));
         }
         self.config().validate().map_err(SpecError::InvalidConfig)?;
@@ -142,8 +142,7 @@ impl SimSpec {
         Ok(())
     }
 
-    /// Resolves the spec against the process-wide engine registry into a
-    /// runnable form.
+    /// Resolves the spec against the engine table into a runnable form.
     ///
     /// # Errors
     ///
@@ -189,43 +188,28 @@ impl SimSpec {
         format::from_toml(input)
     }
 
-    /// Serialises the spec to its canonical JSON form.
-    pub fn to_json(&self) -> String {
-        format::to_json(self)
-    }
-
-    /// Parses a spec from JSON.
+    /// Loads a spec from a `.toml` file.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Parse`] describing the syntax problem.
-    pub fn from_json(input: &str) -> Result<Self, SpecError> {
-        format::from_json(input)
-    }
-
-    /// Loads a spec from a `.toml` or `.json` file (decided by extension).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError::Parse`] for unreadable files, unknown
-    /// extensions or malformed content.
+    /// Returns [`SpecError::Parse`] for any other extension, unreadable
+    /// files or malformed content.
     pub fn load(path: &std::path::Path) -> Result<Self, SpecError> {
+        let ext = path.extension().and_then(|e| e.to_str());
+        if ext != Some("toml") {
+            return Err(SpecError::Parse(format!(
+                "unsupported spec extension {ext:?} for {} (toml)",
+                path.display()
+            )));
+        }
         let content = std::fs::read_to_string(path)
             .map_err(|e| SpecError::Parse(format!("cannot read {}: {e}", path.display())))?;
-        match path.extension().and_then(|e| e.to_str()) {
-            Some("toml") => Self::from_toml(&content),
-            Some("json") => Self::from_json(&content),
-            other => Err(SpecError::Parse(format!(
-                "unsupported spec extension {other:?} for {} (toml|json)",
-                path.display()
-            ))),
-        }
+        Self::from_toml(&content)
     }
 }
 
 /// Builder with validation at the end — the ergonomic way to construct a
-/// [`SimSpec`] in code (files go through [`SimSpec::from_toml`] /
-/// [`SimSpec::from_json`]).
+/// [`SimSpec`] in code (files go through [`SimSpec::from_toml`]).
 #[derive(Debug, Clone)]
 pub struct SimSpecBuilder {
     spec: SimSpec,
@@ -278,7 +262,7 @@ impl SimSpecBuilder {
     }
 
     /// Returns the spec without validating (for tests that need invalid
-    /// specs, and for constructing specs before registering their engine).
+    /// specs, such as one naming an engine outside the table).
     pub fn build_unchecked(self) -> SimSpec {
         self.spec
     }
@@ -287,16 +271,15 @@ impl SimSpecBuilder {
 /// Errors from spec validation, parsing or loading.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {
-    /// The engine id is not registered (register it via
-    /// `dhtm_baselines::registry::register_global` first).
+    /// The engine id is not in [`dhtm_baselines::registry::ENGINES`].
     UnknownEngine(EngineId),
-    /// The workload name is not known to `dhtm_workloads::by_name`.
+    /// The workload name is not one of [`dhtm_workloads::NAMES`].
     UnknownWorkload(String),
     /// The resolved configuration failed `SystemConfig::validate`.
     InvalidConfig(String),
     /// A limit is out of range.
     InvalidLimits(String),
-    /// The TOML/JSON input (or file) could not be parsed.
+    /// The TOML input (or file) could not be parsed.
     Parse(String),
 }
 
@@ -305,12 +288,8 @@ impl fmt::Display for SpecError {
         match self {
             SpecError::UnknownEngine(id) => write!(
                 f,
-                "unknown engine '{id}' (not in the registry; registered: {})",
-                registry::global_snapshot()
-                    .ids_iter()
-                    .map(EngineId::as_str)
-                    .collect::<Vec<_>>()
-                    .join(", ")
+                "unknown engine '{id}' (known engines: {})",
+                ENGINES.map(|e| e.id).join(", ")
             ),
             SpecError::UnknownWorkload(name) => write!(f, "unknown workload '{name}'"),
             SpecError::InvalidConfig(msg) => write!(f, "invalid config: {msg}"),

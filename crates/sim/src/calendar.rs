@@ -49,9 +49,6 @@
 //!   early) relative to the heap schedule.
 //!
 //! [`far`]: CalendarQueue#structfield.far
-//!
-//! [`HeapQueue`] is the retired `BinaryHeap` scheduler, kept as the
-//! executable reference model the equivalence suite replays against.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -292,51 +289,26 @@ impl CalendarQueue {
     }
 }
 
-/// The retired `BinaryHeap` scheduler, API-compatible with
-/// [`CalendarQueue`]. Kept as the executable reference model: the
-/// `calendar_schedule_equivalence` property suite replays recorded
-/// schedules against it, proving the calendar queue is event-for-event
-/// identical.
-#[derive(Debug, Default)]
-pub struct HeapQueue {
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
-}
-
-impl HeapQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        HeapQueue::default()
-    }
-
-    /// Total queued events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedules `core` at `time`.
-    pub fn push(&mut self, time: u64, core: usize) {
-        self.heap.push(Reverse((time, core)));
-    }
-
-    /// Removes and returns the earliest event, ties broken by core index.
-    pub fn pop(&mut self) -> Option<(u64, usize)> {
-        self.heap.pop().map(|Reverse(e)| e)
-    }
-
-    /// The earliest queued event time, without popping.
-    pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse((t, _))| *t)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The retired `BinaryHeap` scheduler: the reference model
+    /// `ring_wrap_preserves_order_across_many_laps` replays against.
+    #[derive(Default)]
+    struct HeapQueue {
+        heap: BinaryHeap<Reverse<(u64, usize)>>,
+    }
+
+    impl HeapQueue {
+        fn push(&mut self, time: u64, core: usize) {
+            self.heap.push(Reverse((time, core)));
+        }
+
+        fn pop(&mut self) -> Option<(u64, usize)> {
+            self.heap.pop().map(|Reverse(e)| e)
+        }
+    }
 
     /// The full scheduling window in cycles.
     const SPAN: u64 = (NUM_BUCKETS as u64) << WIDTH_SHIFT;
@@ -420,7 +392,7 @@ mod tests {
     #[test]
     fn ring_wrap_preserves_order_across_many_laps() {
         let mut q = CalendarQueue::new();
-        let mut reference = HeapQueue::new();
+        let mut reference = HeapQueue::default();
         // March a few cores forward over many ring laps with varied deltas,
         // including deltas beyond the horizon.
         let deltas = [1u64, 15, 16, 17, 511, 4095, 4209, 8191, 8192, 20000];

@@ -131,9 +131,8 @@ impl DesignKind {
         )
     }
 
-    /// The canonical lowercase engine id of the design — the name it is
-    /// registered under in the engine registry and the spelling scenario
-    /// spec files use.
+    /// The canonical lowercase engine id of the design — its id in the
+    /// engine table and the spelling scenario spec files use.
     pub fn id(self) -> &'static str {
         match self {
             DesignKind::SoftwareOnly => "so",

@@ -30,75 +30,40 @@ pub mod trace;
 
 pub use heap::SimHeap;
 pub use micro::{
-    BTreeWorkload, HashWorkload, MicroKind, QueueWorkload, RbTreeWorkload, SdgWorkload, SpsWorkload,
+    BTreeWorkload, HashWorkload, QueueWorkload, RbTreeWorkload, SdgWorkload, SpsWorkload,
 };
 pub use oltp::{TatpWorkload, TpccWorkload};
 pub use trace::TraceBuilder;
 
 use dhtm_sim::workload::Workload;
 
-/// The six micro-benchmarks in the order the paper's figures present them.
-pub fn micro_suite(seed: u64) -> Vec<Box<dyn Workload>> {
-    vec![
-        Box::new(QueueWorkload::new(seed)),
-        Box::new(HashWorkload::new(seed)),
-        Box::new(SdgWorkload::new(seed)),
-        Box::new(SpsWorkload::new(seed)),
-        Box::new(BTreeWorkload::new(seed)),
-        Box::new(RbTreeWorkload::new(seed)),
-    ]
-}
-
-/// Builds a micro-benchmark by name ("queue", "hash", "sdg", "sps", "btree",
-/// "rbtree").
-pub fn micro_by_name(name: &str, seed: u64) -> Option<Box<dyn Workload>> {
-    let kind = match name {
-        "queue" => MicroKind::Queue,
-        "hash" => MicroKind::Hash,
-        "sdg" => MicroKind::Sdg,
-        "sps" => MicroKind::Sps,
-        "btree" => MicroKind::BTree,
-        "rbtree" => MicroKind::RbTree,
-        _ => return None,
-    };
-    Some(micro::build(kind, seed))
-}
-
 /// Builds any of the paper's eight workloads by name: the six
-/// micro-benchmarks plus `"tatp"` and `"tpcc"`. Returns `None` for unknown
-/// names.
-pub fn by_name(name: &str, seed: u64) -> Option<Box<dyn Workload>> {
-    match name {
-        "tatp" => Some(Box::new(TatpWorkload::new(seed))),
-        "tpcc" => Some(Box::new(TpccWorkload::new(seed))),
-        other => micro_by_name(other, seed),
-    }
-}
-
-/// Builds any of the paper's eight workloads by name, with a diagnosable
-/// error instead of [`by_name`]'s `None`: the error names the rejected
-/// workload and lists everything that would have resolved, in the spirit of
-/// `RegistryError::UnknownEngine` on the engine side. Use this anywhere the
-/// name comes from user input (CLI flags, spec files) rather than a
-/// hard-coded catalogue.
+/// micro-benchmarks plus `"tatp"` and `"tpcc"`. The error names the
+/// rejected workload and lists everything that would have resolved, so a
+/// typo in a CLI flag or spec file is self-correcting.
 ///
 /// # Errors
 ///
 /// Returns [`WorkloadError::Unknown`] when `name` is not one of [`NAMES`].
 pub fn try_by_name(name: &str, seed: u64) -> Result<Box<dyn Workload>, WorkloadError> {
-    by_name(name, seed).ok_or_else(|| WorkloadError::Unknown(name.to_string()))
+    Ok(match name {
+        "queue" => Box::new(QueueWorkload::new(seed)),
+        "hash" => Box::new(HashWorkload::new(seed)),
+        "sdg" => Box::new(SdgWorkload::new(seed)),
+        "sps" => Box::new(SpsWorkload::new(seed)),
+        "btree" => Box::new(BTreeWorkload::new(seed)),
+        "rbtree" => Box::new(RbTreeWorkload::new(seed)),
+        "tatp" => Box::new(TatpWorkload::new(seed)),
+        "tpcc" => Box::new(TpccWorkload::new(seed)),
+        _ => return Err(WorkloadError::Unknown(name.to_string())),
+    })
 }
 
-/// All eight workload names, in the paper's order.
+/// All eight workload names, in the paper's order: the six
+/// micro-benchmarks as its figures present them, then the OLTP pair.
 pub const NAMES: [&str; 8] = [
     "queue", "hash", "sdg", "sps", "btree", "rbtree", "tatp", "tpcc",
 ];
-
-/// Whether `name` resolves via [`by_name`], without paying for workload
-/// construction (spec validation calls this per cell).
-pub fn is_known(name: &str) -> bool {
-    NAMES.contains(&name)
-}
 
 /// Errors from name-based workload resolution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,13 +97,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn by_name_covers_all_eight_workloads() {
-        for name in [
-            "queue", "hash", "sdg", "sps", "btree", "rbtree", "tatp", "tpcc",
-        ] {
-            assert_eq!(by_name(name, 7).unwrap().name(), name);
+    fn try_by_name_covers_all_eight_workloads_in_paper_order() {
+        assert_eq!(
+            NAMES[..6],
+            ["queue", "hash", "sdg", "sps", "btree", "rbtree"],
+            "the micro-benchmarks come first, in the figures' order"
+        );
+        for name in NAMES {
+            assert_eq!(try_by_name(name, 7).unwrap().name(), name);
         }
-        assert!(by_name("nope", 7).is_none());
+        assert!(try_by_name("nope", 7).is_err());
     }
 
     #[test]
@@ -153,23 +121,5 @@ mod tests {
         for name in NAMES {
             assert!(msg.contains(name), "{msg} should list {name}");
         }
-    }
-
-    #[test]
-    fn suite_has_six_benchmarks_with_paper_names() {
-        let suite = micro_suite(1);
-        let names: Vec<_> = suite.iter().map(|w| w.name()).collect();
-        assert_eq!(
-            names,
-            vec!["queue", "hash", "sdg", "sps", "btree", "rbtree"]
-        );
-    }
-
-    #[test]
-    fn lookup_by_name_matches_suite() {
-        for name in ["queue", "hash", "sdg", "sps", "btree", "rbtree"] {
-            assert_eq!(micro_by_name(name, 3).unwrap().name(), name);
-        }
-        assert!(micro_by_name("nope", 3).is_none());
     }
 }

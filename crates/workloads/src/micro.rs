@@ -32,35 +32,6 @@ use dhtm_types::ids::CoreId;
 use crate::heap::SimHeap;
 use crate::trace::TraceBuilder;
 
-/// Which micro-benchmark to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MicroKind {
-    /// Insert/delete entries in a queue.
-    Queue,
-    /// Insert/delete entries in a hash table.
-    Hash,
-    /// Insert/delete edges in a scalable graph.
-    Sdg,
-    /// Random swaps between entries in an array.
-    Sps,
-    /// Insert/delete nodes in a B-tree.
-    BTree,
-    /// Insert/delete nodes in a red-black tree.
-    RbTree,
-}
-
-/// Builds the workload for `kind`.
-pub fn build(kind: MicroKind, seed: u64) -> Box<dyn Workload> {
-    match kind {
-        MicroKind::Queue => Box::new(QueueWorkload::new(seed)),
-        MicroKind::Hash => Box::new(HashWorkload::new(seed)),
-        MicroKind::Sdg => Box::new(SdgWorkload::new(seed)),
-        MicroKind::Sps => Box::new(SpsWorkload::new(seed)),
-        MicroKind::BTree => Box::new(BTreeWorkload::new(seed)),
-        MicroKind::RbTree => Box::new(RbTreeWorkload::new(seed)),
-    }
-}
-
 /// Number of coarse-grained lock partitions used by the lock-based designs.
 const LOCK_PARTITIONS: u64 = 32;
 
@@ -898,15 +869,8 @@ mod tests {
 
     #[test]
     fn transactions_carry_lock_sets_and_ops() {
-        for kind in [
-            MicroKind::Queue,
-            MicroKind::Hash,
-            MicroKind::Sdg,
-            MicroKind::Sps,
-            MicroKind::BTree,
-            MicroKind::RbTree,
-        ] {
-            let mut w = build(kind, 1);
+        for name in &crate::NAMES[..6] {
+            let mut w = crate::try_by_name(name, 1).expect("micro-benchmark name");
             let tx = w.next_transaction(CoreId::new(0));
             assert!(!tx.locks.is_empty(), "{} must declare locks", w.name());
             assert!(!tx.ops.is_empty());

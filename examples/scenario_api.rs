@@ -1,13 +1,12 @@
 //! Tour of the scenario API: build a typed `SimSpec`, round-trip it
-//! through TOML, register an out-of-tree engine variant, and stream a run
-//! through the `SimObserver` metrics sink.
+//! through TOML, stream a run through the `SimObserver` metrics sink, run
+//! a built-in engine variant by id, and list the engine table.
 //!
 //! ```text
 //! cargo run --release --example scenario_api
 //! ```
 
-use dhtm::DhtmEngine;
-use dhtm_baselines::registry::{self, EngineFactory, EngineId, EngineInfo, LogDiscipline};
+use dhtm_baselines::registry::{EngineId, ENGINES};
 use dhtm_scenario::{MetricsSink, SimSpec};
 use dhtm_types::config::{BaseConfig, ConfigOverlay};
 use dhtm_types::policy::DesignKind;
@@ -39,46 +38,29 @@ fn main() {
         sink.durable_ticks,
     );
 
-    // 3. Register an out-of-tree variant — DHTM with a pinned 4-entry log
-    //    buffer — and run the same scenario on it by name only.
-    registry::register_global(EngineFactory::new(
-        EngineInfo {
-            id: EngineId::new("dhtm-logbuf4-example"),
-            label: "DHTM-lb4".to_string(),
-            description: "DHTM with a hard-wired 4-entry log buffer".to_string(),
-            design: DesignKind::Dhtm,
-            durable: true,
-            log: LogDiscipline::HardwareRedo,
-            has_fallback: true,
-        },
-        |cfg| Box::new(DhtmEngine::new(&cfg.clone().with_log_buffer_entries(4))),
-    ))
-    .expect("fresh id");
-
+    // 3. Run the same scenario on a built-in variant — DHTM with
+    //    instantaneous critical-path writes (the Section VI-D ablation) —
+    //    by naming its id.
     let variant_spec = SimSpec {
-        engine: EngineId::new("dhtm-logbuf4-example"),
+        engine: EngineId::new("dhtm-instant"),
         ..spec.clone()
     };
     let variant = variant_spec.run().expect("variant runs");
     println!(
-        "variant DHTM-lb4: {} commits in {} cycles (vs {} with 16 entries)",
+        "variant DHTM-instant: {} commits in {} cycles (vs {} for DHTM)",
         variant.stats.committed, variant.stats.total_cycles, result.stats.total_cycles,
     );
 
     // 4. Same stream, different engines: the derived seed ignores the
     //    engine, so the comparison above is apples-to-apples.
     assert_eq!(spec.derived_seed(), variant_spec.derived_seed());
-    println!("\nregistered engines:");
-    for factory in registry::global_snapshot().iter() {
-        let info = factory.info();
+    println!("\nengines:");
+    for engine in &ENGINES {
         println!(
-            "  {:<22} {:<14} durable={:<5} log={:<13} fallback={:<5} — {}",
-            info.id.as_str(),
-            info.label,
-            info.durable,
-            info.log.to_string(),
-            info.has_fallback,
-            info.description,
+            "  {:<18} {:<14} design={}",
+            engine.id,
+            engine.label,
+            engine.design.label(),
         );
     }
 }

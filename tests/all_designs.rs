@@ -7,7 +7,7 @@ use dhtm_sim::driver::{RunLimits, Simulator};
 use dhtm_sim::machine::Machine;
 use dhtm_types::config::SystemConfig;
 use dhtm_types::policy::DesignKind;
-use dhtm_workloads::micro_by_name;
+use dhtm_workloads::try_by_name;
 
 fn run(
     design: DesignKind,
@@ -19,7 +19,7 @@ fn run(
     let mut engine = registry::resolve(&design.into())
         .expect("every design is a builtin engine")
         .build(&cfg);
-    let mut wl = micro_by_name(workload, 5).unwrap();
+    let mut wl = try_by_name(workload, 5).unwrap();
     let limits = RunLimits::quick().with_target_commits(commits);
     let res = Simulator::new().run(&mut machine, &mut engine, wl.as_mut(), &limits);
     (res, machine)

@@ -1,55 +1,25 @@
-//! Acceptance demo for the extensible engine registry: an out-of-tree
-//! design variant — DHTM with a hard-wired 4-entry log buffer — is
-//! registered and run through the *public* scenario API (spec files, the
-//! harness matrix) without editing any baselines or harness dispatch code.
+//! Acceptance tests for the closed engine table: a built-in DHTM variant
+//! ("dhtm-instant") runs through the public scenario API (spec files, the
+//! harness matrix) by id alone, machine variants are config overlays, and
+//! an id outside the table is rejected with a message naming the table.
 
-use std::sync::OnceLock;
-
-use dhtm::DhtmEngine;
-use dhtm_baselines::registry::{self, EngineFactory, EngineId, EngineInfo, LogDiscipline};
+use dhtm_baselines::registry::{EngineId, ENGINES};
 use dhtm_harness::matrix::{CommitSpec, ConfigVariant, Matrix};
 use dhtm_harness::runner::run_matrix;
 use dhtm_scenario::SimSpec;
 use dhtm_types::config::{BaseConfig, ConfigOverlay, SystemConfig};
 use dhtm_types::policy::DesignKind;
 
-const VARIANT: &str = "dhtm-logbuf4";
-
-/// Registers the variant once per test process (tests share the global
-/// registry and may run in any order).
-fn register_variant() {
-    static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| {
-        registry::register_global(EngineFactory::new(
-            EngineInfo {
-                id: EngineId::new(VARIANT),
-                label: "DHTM-lb4".to_string(),
-                description: "DHTM with a hard-wired 4-entry log buffer".to_string(),
-                design: DesignKind::Dhtm,
-                durable: true,
-                log: LogDiscipline::HardwareRedo,
-                has_fallback: true,
-            },
-            |cfg| {
-                // The variant pins its own log-buffer size regardless of
-                // the machine configuration it is asked to run on.
-                let cfg = cfg.clone().with_log_buffer_entries(4);
-                Box::new(DhtmEngine::new(&cfg))
-            },
-        ))
-        .expect("variant id is free");
-    });
-}
+const VARIANT: &str = "dhtm-instant";
 
 #[test]
 fn variant_runs_through_a_spec_without_touching_dispatch_code() {
-    register_variant();
     let spec = SimSpec::builder(VARIANT, "hash")
         .base(BaseConfig::Small)
         .commits(12)
         .seed(11)
         .build()
-        .expect("registered variants validate");
+        .expect("table variants validate");
     let result = spec.run().unwrap();
     assert_eq!(result.stats.committed, 12);
     assert_eq!(
@@ -58,7 +28,7 @@ fn variant_runs_through_a_spec_without_touching_dispatch_code() {
         "variants keep their base design"
     );
 
-    // The spec serialises like any built-in engine.
+    // The spec serialises like any other engine.
     let reloaded = SimSpec::from_toml(&spec.to_toml()).unwrap();
     assert_eq!(reloaded, spec);
     assert_eq!(reloaded.run().unwrap().stats, result.stats);
@@ -66,43 +36,51 @@ fn variant_runs_through_a_spec_without_touching_dispatch_code() {
 
 #[test]
 fn variant_sits_on_the_matrix_engine_axis_next_to_builtins() {
-    register_variant();
-    // On the small machine with a 16-entry overlay: the builtin DHTM honours
-    // the overlay, the variant pins 4 entries. Small's default IS 4 entries,
-    // so the variant must exactly reproduce plain small-machine DHTM while
-    // the overlaid builtin diverges — proving the factory override is real
-    // and the harness needed no special-casing.
-    let overlaid = Matrix::new()
+    let m = Matrix::new()
         .engines([EngineId::from(DesignKind::Dhtm), EngineId::new(VARIANT)])
-        .workloads(["hash"])
-        .config(ConfigVariant::new(
-            "logbuf16",
-            BaseConfig::Small,
-            ConfigOverlay::none().with_log_buffer_entries(16),
-        ))
-        .commits(CommitSpec::Fixed(10));
-    let rows = run_matrix(&overlaid, 2);
-    assert_eq!(rows.len(), 2);
-    assert_eq!(rows[0].engine, "DHTM");
-    assert_eq!(rows[1].engine, "DHTM-lb4", "label comes from the registry");
-    assert_eq!(rows[0].seed, rows[1].seed, "same stream for both engines");
-    assert_eq!(rows[1].stats.committed, 10);
-
-    let plain_small = Matrix::new()
-        .engines([DesignKind::Dhtm])
         .workloads(["hash"])
         .config(ConfigVariant::small())
         .commits(CommitSpec::Fixed(10));
-    let plain = &run_matrix(&plain_small, 1)[0];
-
-    assert_eq!(SystemConfig::small_test().log_buffer_entries, 4);
-    assert_eq!(
-        rows[1].stats, plain.stats,
-        "the variant's pinned 4-entry buffer reproduces the small default"
-    );
+    let rows = run_matrix(&m, 2);
+    assert_eq!(rows.len(), 2);
+    assert_eq!(rows[0].engine, "DHTM");
+    assert_eq!(rows[1].engine, "DHTM-instant", "label comes from the table");
+    assert_eq!(rows[0].seed, rows[1].seed, "same stream for both engines");
+    assert_eq!(rows[1].stats.committed, 10);
     assert_ne!(
         rows[0].stats, rows[1].stats,
-        "the 16-entry builtin diverges from the pinned variant"
+        "instant writes change the timing"
+    );
+}
+
+#[test]
+fn log_buffer_overlay_pins_the_buffer_size() {
+    // A DHTM with a pinned 4-entry log buffer is the overlay
+    // `log_buffer_entries = 4`. Small's default IS 4 entries, so that
+    // overlay reproduces plain small-machine DHTM while 16 entries
+    // diverge.
+    assert_eq!(SystemConfig::small_test().log_buffer_entries, 4);
+    let run = |overlay: ConfigOverlay| {
+        SimSpec::builder(DesignKind::Dhtm, "hash")
+            .base(BaseConfig::Small)
+            .overlay(overlay)
+            .commits(10)
+            .build()
+            .unwrap()
+            .run()
+            .unwrap()
+            .stats
+    };
+    let plain = run(ConfigOverlay::none());
+    assert_eq!(
+        run(ConfigOverlay::none().with_log_buffer_entries(4)),
+        plain,
+        "a 4-entry overlay reproduces the small default"
+    );
+    assert_ne!(
+        run(ConfigOverlay::none().with_log_buffer_entries(16)),
+        plain,
+        "a 16-entry overlay diverges"
     );
 }
 
@@ -114,5 +92,7 @@ fn unregistered_engines_fail_spec_validation_with_a_useful_error() {
         .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("dhtm-logbuf512"), "{msg}");
-    assert!(msg.contains("registered"), "{msg}");
+    for engine in &ENGINES {
+        assert!(msg.contains(engine.id), "{msg} should list {}", engine.id);
+    }
 }
