@@ -119,7 +119,6 @@ fn workspace_is_clean_under_committed_config() {
         "crates/service/src/server.rs lock-blocking",
         "crates/service/src/server.rs lock-blocking",
         "crates/service/src/server.rs lock-blocking",
-        "crates/sim/src/locks.rs unordered-iter",
         "crates/workloads/src/micro.rs float-in-det",
     ];
     assert_eq!(suppressed, expected, "suppression set drifted");

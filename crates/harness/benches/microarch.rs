@@ -1,7 +1,9 @@
 //! Criterion micro-benchmarks of the core hardware structures: the log
 //! buffer (coalescing), the read-set signature, the memory channel and the
 //! recovery manager. These quantify the per-operation cost of the structures
-//! that the DHTM engine exercises on every transactional store.
+//! that the DHTM engine exercises on every transactional store. The lock
+//! table benches cover the lock-based designs' begin path (SO, ATOM), whose
+//! stalled retries dominate TPC-C and TATP runs.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dhtm_cache::log_buffer::LogBuffer;
@@ -10,6 +12,8 @@ use dhtm_nvm::bandwidth::MemoryChannel;
 use dhtm_nvm::domain::PersistentDomain;
 use dhtm_nvm::record::LogRecord;
 use dhtm_nvm::recovery::RecoveryManager;
+use dhtm_sim::locks::{LockId, LockTable};
+use dhtm_types::ids::CoreId;
 use dhtm_types::{LineAddr, ThreadId, TxId};
 
 fn bench_log_buffer(c: &mut Criterion) {
@@ -88,9 +92,52 @@ fn bench_recovery(c: &mut Criterion) {
     });
 }
 
+/// A canonical (ascending, duplicate-free) 200-lock set, the size of a
+/// large TPC-C lock set.
+fn lock_set_200() -> Vec<LockId> {
+    (0..200u64).map(|i| LockId(i * 7)).collect()
+}
+
+fn bench_locks(c: &mut Criterion) {
+    let set = lock_set_200();
+    c.bench_function("locks/contended_retry_200", |b| {
+        b.iter_batched(
+            || {
+                // Core 0 holds a lock in the middle of core 1's set, and
+                // core 1 has already failed once against it.
+                let mut t = LockTable::new();
+                assert!(t.try_acquire_all(CoreId::new(0), &[set[150]]));
+                assert!(!t.try_acquire_all(CoreId::new(1), &set));
+                t
+            },
+            |mut t| {
+                (0..1000)
+                    .filter(|_| !t.try_acquire_all(CoreId::new(1), &set))
+                    .count()
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    c.bench_function("locks/acquire_release_200", |b| {
+        b.iter_batched(
+            LockTable::new,
+            |mut t| {
+                let mut released = 0;
+                for i in 0..100 {
+                    let core = CoreId::new(i % 8);
+                    assert!(t.try_acquire_all(core, &set));
+                    released += t.release_all(core);
+                }
+                released
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_log_buffer, bench_signature, bench_channel, bench_recovery
+    targets = bench_log_buffer, bench_signature, bench_channel, bench_recovery, bench_locks
 }
 criterion_main!(benches);

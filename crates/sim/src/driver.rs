@@ -260,7 +260,6 @@ impl Simulator {
             log_records_before,
             finished: false,
             armed_points: Vec::new(),
-            lock_scratch: Vec::new(),
         }
     }
 }
@@ -327,10 +326,6 @@ where
     /// used to fire [`SimObserver::on_crash_point`] when a step's mutation
     /// span crosses one.
     armed_points: Vec<u64>,
-    /// Scratch for the per-begin lock sort/dedup: reused across steps so
-    /// the hot loop never allocates for it (the former code cloned the
-    /// transaction's lock list on every begin).
-    lock_scratch: Vec<crate::locks::LockId>,
 }
 
 impl<E: TxEngine + ?Sized, W: Workload + ?Sized> std::fmt::Debug for SimulationSession<'_, E, W> {
@@ -431,7 +426,12 @@ impl<'a, E: TxEngine + ?Sized, W: Workload + ?Sized> SimulationSession<'a, E, W>
 
         // Ensure the core has a transaction to work on.
         if self.cores.tx[core_idx].is_none() {
-            let tx = self.workload.next_transaction(core);
+            let mut tx = self.workload.next_transaction(core);
+            // Canonicalise the lock set once per transaction, not once per
+            // begin attempt: a transaction stalled on a busy lock retries
+            // its begin every few dozen cycles with the same set.
+            tx.locks.sort_unstable();
+            tx.locks.dedup();
             fetched = true;
             self.cores.tx[core_idx] = Some(tx);
             self.cores.op_idx[core_idx] = 0;
@@ -445,13 +445,8 @@ impl<'a, E: TxEngine + ?Sized, W: Workload + ?Sized> SimulationSession<'a, E, W>
                 .as_ref()
                 .expect("transaction present");
             if !self.cores.begun[core_idx] {
-                self.lock_scratch.clear();
-                self.lock_scratch.extend_from_slice(&tx.locks);
-                self.lock_scratch.sort_unstable();
-                self.lock_scratch.dedup();
                 (
-                    self.engine
-                        .begin(self.machine, core, &self.lock_scratch, now),
+                    self.engine.begin(self.machine, core, &tx.locks, now),
                     Step::Begin,
                 )
             } else if (self.cores.op_idx[core_idx] as usize) < tx.ops.len() {
@@ -835,6 +830,116 @@ mod tests {
         assert_eq!(result.stats.commit_stall_cycles, 10 * 11);
         assert_eq!(result.stats.lock_wait_cycles, 10 * 5);
         assert_eq!(result.stats.total_stall_cycles, 10 * (11 + 5));
+    }
+
+    /// A workload whose every transaction declares its locks unsorted and
+    /// with duplicates.
+    #[derive(Debug)]
+    struct MessyLockWorkload;
+
+    impl Workload for MessyLockWorkload {
+        fn name(&self) -> &'static str {
+            "messy-locks"
+        }
+        fn next_transaction(&mut self, _core: CoreId) -> Transaction {
+            Transaction::new(
+                vec![TxOp::Compute(3)],
+                [9, 3, 9, 1, 3, 7].map(LockId).to_vec(),
+                "messy",
+            )
+        }
+    }
+
+    /// Stalls every transaction's begin [`BEGIN_STALLS`] times, `LOCK_WAIT`
+    /// cycles each, and records the lock set of every begin call.
+    #[derive(Debug, Default)]
+    struct RecordingEngine {
+        begin_calls: Vec<Vec<LockId>>,
+        stalls_this_tx: u64,
+    }
+
+    const BEGIN_STALLS: u64 = 4;
+    const LOCK_WAIT: u64 = 60;
+
+    impl TxEngine for RecordingEngine {
+        fn design(&self) -> DesignKind {
+            DesignKind::SoftwareOnly
+        }
+        fn init(&mut self, _machine: &mut Machine) {}
+        fn begin(
+            &mut self,
+            _machine: &mut Machine,
+            _core: CoreId,
+            locks: &[LockId],
+            now: u64,
+        ) -> StepOutcome {
+            self.begin_calls.push(locks.to_vec());
+            if self.stalls_this_tx < BEGIN_STALLS {
+                self.stalls_this_tx += 1;
+                StepOutcome::Stall {
+                    retry_at: now + LOCK_WAIT,
+                }
+            } else {
+                StepOutcome::done(now + 1)
+            }
+        }
+        fn read(
+            &mut self,
+            _machine: &mut Machine,
+            _core: CoreId,
+            _addr: Address,
+            now: u64,
+        ) -> StepOutcome {
+            StepOutcome::done(now + 1)
+        }
+        fn write(
+            &mut self,
+            _machine: &mut Machine,
+            _core: CoreId,
+            _addr: Address,
+            _value: u64,
+            now: u64,
+        ) -> StepOutcome {
+            StepOutcome::done(now + 1)
+        }
+        fn commit(&mut self, _machine: &mut Machine, _core: CoreId, now: u64) -> StepOutcome {
+            self.stalls_this_tx = 0;
+            StepOutcome::done(now + 1)
+        }
+        fn last_tx_stats(&mut self, _core: CoreId) -> TxStats {
+            TxStats::default()
+        }
+    }
+
+    #[test]
+    fn every_begin_attempt_sees_the_canonical_lock_set() {
+        let commits = 5;
+        let mut machine = Machine::new(SystemConfig::small_test().with_num_cores(1));
+        let mut engine = RecordingEngine::default();
+        let limits = RunLimits::quick().with_target_commits(commits);
+        let result =
+            Simulator::new().run(&mut machine, &mut engine, &mut MessyLockWorkload, &limits);
+        assert_eq!(result.stats.committed, commits);
+        assert_eq!(
+            engine.begin_calls.len() as u64,
+            commits * (BEGIN_STALLS + 1),
+            "every stalled begin is retried"
+        );
+        let canonical = [1, 3, 7, 9].map(LockId);
+        for (i, locks) in engine.begin_calls.iter().enumerate() {
+            assert_eq!(locks, &canonical, "begin call {i}");
+        }
+        assert_eq!(
+            result.stats.lock_wait_cycles,
+            commits * BEGIN_STALLS * LOCK_WAIT
+        );
+        assert_eq!(
+            result.stats.total_stall_cycles,
+            result.stats.lock_wait_cycles
+        );
+        // Per transaction: the stalled begins, the begin that succeeds, one
+        // op and the commit.
+        assert_eq!(result.stats.steps, commits * (BEGIN_STALLS + 3));
     }
 
     #[test]

@@ -62,7 +62,9 @@ pub trait TxEngine {
 
     /// Begins a transaction on `core` at cycle `now`. `lock_set` is the set
     /// of locks the transaction would acquire under lock-based concurrency
-    /// control; HTM-based designs ignore it (except on their fallback path).
+    /// control, ascending and duplicate-free (the driver canonicalises it
+    /// once per transaction); HTM-based designs ignore it (except on their
+    /// fallback path). A stalled begin is retried with the same slice.
     fn begin(
         &mut self,
         machine: &mut Machine,

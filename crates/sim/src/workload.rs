@@ -47,8 +47,9 @@ pub struct Transaction {
     /// Operations, in program order.
     pub ops: Vec<TxOp>,
     /// Locks protecting the data this transaction touches, for lock-based
-    /// designs. Must be duplicate-free; the engine sorts them before
-    /// acquisition.
+    /// designs, in any order. The driver sorts and deduplicates them once,
+    /// in place, when it fetches the transaction, so every `begin` attempt
+    /// (and any observer) sees them ascending and duplicate-free.
     pub locks: Vec<LockId>,
     /// A label for debugging/characterisation (e.g. "new-order", "insert").
     pub label: &'static str,
