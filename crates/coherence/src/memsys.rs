@@ -192,11 +192,6 @@ impl MemorySystem {
         &self.llc
     }
 
-    /// Mutable access to the LLC.
-    pub fn llc_mut(&mut self) -> &mut LlcCache {
-        &mut self.llc
-    }
-
     /// Immutable access to the persistence domain.
     pub fn domain(&self) -> &PersistentDomain {
         &self.domain

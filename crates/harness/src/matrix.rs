@@ -296,21 +296,6 @@ impl Cell {
     }
 }
 
-/// Deterministic per-cell seed: a content hash of the cell's workload-facing
-/// coordinates. The engine is deliberately *not* mixed in — every design in
-/// a (workload, cores) group must see the same transaction stream for the
-/// normalised comparisons to be apples-to-apples — and neither is the
-/// config: a config sweep (log-buffer sizes, bandwidth multipliers, the
-/// small/default/large ladder) must replay the *same* stream at every point
-/// so the curve isolates the config effect, exactly as the pre-harness
-/// binaries did with one fixed seed. The cell index and worker id are also
-/// excluded, so seeds are stable under matrix reordering and any `--jobs`
-/// value. ([`SimSpec::derived_seed`] is the same derivation at the spec
-/// level; this free function survives for callers holding raw coordinates.)
-pub fn cell_seed(base: u64, workload: &str, cores: usize) -> u64 {
-    dhtm_types::seed::stable_cell_seed(base, workload, cores)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,16 +345,6 @@ mod tests {
             seeds.len(),
             4,
             "four distinct (workload, cores) groups; config sweeps replay the same stream"
-        );
-        assert_ne!(
-            cell_seed(1, "hash", 4),
-            cell_seed(2, "hash", 4),
-            "base seed must matter"
-        );
-        assert_ne!(
-            cell_seed(1, "hash", 4),
-            cell_seed(1, "hash", 8),
-            "core count must matter"
         );
     }
 

@@ -222,12 +222,6 @@ pub fn row_line(label: &str, values: &[String]) -> String {
     format!("| {:<12} | {} |", label, values.join(" | "))
 }
 
-/// Prints a markdown-style table row (compatibility shim for callers that
-/// stream straight to stdout).
-pub fn print_row(label: &str, values: &[String]) {
-    println!("{}", row_line(label, values));
-}
-
 /// Geometric mean helper used for "Ave." columns.
 pub fn geometric_mean(values: &[f64]) -> f64 {
     if values.is_empty() {

@@ -1,10 +1,11 @@
-//! The worker pool: shards the independent cells of a matrix across
-//! `std::thread` workers and collects results in deterministic matrix order.
+//! Running matrix cells: one at a time ([`run_cell`], [`run_cell_traced`])
+//! or sharded across `std::thread` workers by the shared ordered pool
+//! ([`dhtm_scenario::pool::map_ordered`]), with results in deterministic
+//! matrix order.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::thread;
 
+use dhtm_scenario::pool::map_ordered;
 use dhtm_scenario::TraceRecorder;
 use dhtm_types::stats::RunStats;
 
@@ -139,36 +140,7 @@ pub fn run_matrix(matrix: &Matrix, jobs: usize) -> Vec<Row> {
 
 /// Runs pre-expanded cells on `jobs` workers (1 = serial on this thread).
 pub fn run_cells(cells: &[Cell], jobs: usize) -> Vec<Row> {
-    let jobs = jobs.clamp(1, cells.len().max(1));
-    if jobs == 1 {
-        return cells.iter().map(run_cell).collect();
-    }
-
-    // Work-stealing by atomic cursor: workers pull the next unclaimed cell
-    // index; each result lands in its cell's dedicated slot, so collection
-    // order is matrix order no matter which worker ran what.
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Row>>> = cells.iter().map(|_| Mutex::new(None)).collect();
-    thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = cells.get(i) else {
-                    break;
-                };
-                let row = run_cell(cell);
-                *slots[i].lock().expect("result slot poisoned") = Some(row);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every cell ran")
-        })
-        .collect()
+    map_ordered(cells, jobs, run_cell)
 }
 
 /// Runs `matrix` fully instrumented on `jobs` workers: every cell is
@@ -184,35 +156,7 @@ pub fn run_matrix_traced(matrix: &Matrix, jobs: usize, label_prefix: &str) -> Ve
 /// Runs pre-expanded cells instrumented on `jobs` workers (the traced
 /// counterpart of [`run_cells`]).
 pub fn run_cells_traced(cells: &[Cell], jobs: usize, label_prefix: &str) -> Vec<TracedRow> {
-    let jobs = jobs.clamp(1, cells.len().max(1));
-    if jobs == 1 {
-        return cells
-            .iter()
-            .map(|cell| run_cell_traced(cell, label_prefix))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<TracedRow>>> = cells.iter().map(|_| Mutex::new(None)).collect();
-    thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = cells.get(i) else {
-                    break;
-                };
-                let traced = run_cell_traced(cell, label_prefix);
-                *slots[i].lock().expect("result slot poisoned") = Some(traced);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every cell ran")
-        })
-        .collect()
+    map_ordered(cells, jobs, |cell| run_cell_traced(cell, label_prefix))
 }
 
 /// A sensible default worker count: the machine's available parallelism.

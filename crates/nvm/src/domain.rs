@@ -303,15 +303,10 @@ impl PersistentDomain {
         self.logs.iter()
     }
 
-    /// Whether `line` appears in any thread's overflow list — i.e. some
+    /// The thread whose overflow list records `line`, if any — i.e. some
     /// in-flight transaction's speculative copy of the line lives in the
     /// LLC. Such lines must never be written in place on an LLC eviction:
     /// redo logging forbids uncommitted data in persistent memory.
-    pub fn line_is_speculative_overflow(&self, line: LineAddr) -> bool {
-        self.overflow_lists.iter().any(|l| l.contains_line(line))
-    }
-
-    /// The thread whose overflow list records `line`, if any.
     pub fn speculative_overflow_owner(&self, line: LineAddr) -> Option<ThreadId> {
         self.overflow_lists
             .iter()

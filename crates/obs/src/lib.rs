@@ -11,8 +11,8 @@
 //!
 //! * [`probe::ProbeRegistry`] — a registry of named monotonic counters and
 //!   [`probe::PowHistogram`] power-of-two-bucket cycle histograms, with
-//!   `scope/component/name` naming (e.g. `core3/log_buffer/peak_occupancy`)
-//!   and cheap snapshot/delta semantics.
+//!   `scope/component/name` naming (e.g. `core3/log_buffer/peak_occupancy`),
+//!   read once after a run and flattened to `(name, u64)` pairs.
 //! * [`trace::TraceWriter`] — a bounded ring buffer of structured
 //!   [`trace::TraceEvent`]s rendered as NDJSON under a versioned schema
 //!   ([`trace::TRACE_SCHEMA`]), with a hand-rolled per-line validator (the
@@ -41,7 +41,7 @@ pub mod profile;
 pub mod trace;
 
 pub use json::JsonValue;
-pub use probe::{PowHistogram, ProbeRegistry, ProbeSnapshot, ProbeValue};
+pub use probe::{PowHistogram, ProbeRegistry, ProbeValue};
 pub use trace::{
     event_from_line, parse_line, validate_line, TraceEvent, TraceWriter, TRACE_SCHEMA,
 };

@@ -114,27 +114,6 @@ impl PowHistogram {
         self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
     }
-
-    /// The bucket-wise difference `self - earlier` for two snapshots of the
-    /// same monotonically growing histogram. `max` cannot be un-recorded,
-    /// so the delta keeps the later max.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `earlier` is not a prefix of `self` (a bucket would go
-    /// negative) — snapshots of a monotonic probe can never regress.
-    pub fn delta_since(&self, earlier: &PowHistogram) -> PowHistogram {
-        let mut out = PowHistogram::new();
-        for (i, (b, e)) in self.buckets.iter().zip(earlier.buckets.iter()).enumerate() {
-            out.buckets[i] = b
-                .checked_sub(*e)
-                .expect("histogram snapshots are monotonic");
-        }
-        out.count = self.count - earlier.count;
-        out.sum = self.sum - earlier.sum;
-        out.max = self.max;
-        out
-    }
 }
 
 /// One registered probe value.
@@ -268,13 +247,6 @@ impl ProbeRegistry {
         self.entries.is_empty()
     }
 
-    /// A point-in-time snapshot for later delta computation.
-    pub fn snapshot(&self) -> ProbeSnapshot {
-        ProbeSnapshot {
-            entries: self.entries.clone(),
-        }
-    }
-
     /// Flattens every probe to `(name, u64)` pairs in sorted name order:
     /// counters verbatim, histograms as `name/count`, `name/sum` and
     /// `name/max`. This is the form result rows and trace events carry.
@@ -298,58 +270,6 @@ impl ProbeRegistry {
 /// `"core3/l1/hits"`. Collection-time only — never on the hot path.
 pub fn scope(parts: &[&str]) -> String {
     parts.join("/")
-}
-
-/// A point-in-time copy of a [`ProbeRegistry`], comparable and
-/// subtractable: `later.delta_since(&earlier)` yields the activity between
-/// the two snapshots.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ProbeSnapshot {
-    entries: BTreeMap<String, ProbeValue>,
-}
-
-impl ProbeSnapshot {
-    /// Iterates `(name, value)` in sorted name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &ProbeValue)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Number of snapshotted probes.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the snapshot is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The probe-wise difference `self - earlier`. Probes absent from
-    /// `earlier` are taken whole; counters subtract, histograms subtract
-    /// bucket-wise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a counter or histogram regressed between the snapshots,
-    /// or a probe changed type — monotonic probes cannot do either.
-    pub fn delta_since(&self, earlier: &ProbeSnapshot) -> ProbeSnapshot {
-        let mut entries = BTreeMap::new();
-        for (name, value) in &self.entries {
-            let delta = match (value, earlier.entries.get(name)) {
-                (v, None) => v.clone(),
-                (ProbeValue::Counter(now), Some(ProbeValue::Counter(then))) => ProbeValue::Counter(
-                    now.checked_sub(*then)
-                        .expect("counter snapshots are monotonic"),
-                ),
-                (ProbeValue::Histogram(now), Some(ProbeValue::Histogram(then))) => {
-                    ProbeValue::Histogram(Box::new(now.delta_since(then)))
-                }
-                _ => panic!("probe '{name}' changed type between snapshots"),
-            };
-            entries.insert(name.clone(), delta);
-        }
-        ProbeSnapshot { entries }
-    }
 }
 
 #[cfg(test)]
@@ -389,20 +309,22 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_and_delta_invert() {
+    fn histogram_merge_equals_recording_both_streams() {
         let mut early = PowHistogram::new();
         early.record(3);
         early.record(40);
-        let mut late = early.clone();
-        late.record(500);
-        late.record(0);
-        let delta = late.delta_since(&early);
-        assert_eq!(delta.count(), 2);
-        assert_eq!(delta.sum(), 500);
-        let mut rebuilt = early.clone();
-        rebuilt.merge(&delta);
-        assert_eq!(rebuilt.count(), late.count());
-        assert_eq!(rebuilt.sum(), late.sum());
+        let mut rest = PowHistogram::new();
+        rest.record(500);
+        rest.record(0);
+        let mut all = early.clone();
+        all.record(500);
+        all.record(0);
+        let mut merged = early.clone();
+        merged.merge(&rest);
+        assert_eq!(merged, all);
+        assert_eq!(merged.count(), 4);
+        assert_eq!(merged.sum(), 543);
+        assert_eq!(merged.max(), 500);
     }
 
     #[test]
@@ -442,25 +364,6 @@ mod tests {
                 ("log_buffer/drain_cycles/max".to_string(), 20),
             ]
         );
-    }
-
-    #[test]
-    fn snapshot_delta_isolates_the_window() {
-        let mut reg = ProbeRegistry::new();
-        reg.add("a", 5);
-        reg.record("h", 100);
-        let before = reg.snapshot();
-        reg.add("a", 7);
-        reg.add("b", 1);
-        reg.record("h", 3);
-        let delta = reg.snapshot().delta_since(&before);
-        let a = delta.iter().find(|(n, _)| *n == "a").unwrap().1;
-        assert_eq!(a.as_counter(), Some(7));
-        let b = delta.iter().find(|(n, _)| *n == "b").unwrap().1;
-        assert_eq!(b.as_counter(), Some(1));
-        let h = delta.iter().find(|(n, _)| *n == "h").unwrap().1;
-        assert_eq!(h.as_histogram().unwrap().count(), 1);
-        assert_eq!(h.as_histogram().unwrap().sum(), 3);
     }
 
     #[test]

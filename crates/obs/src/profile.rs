@@ -5,8 +5,6 @@
 //! table, grouped by the probe name's leading scope segment so per-core
 //! probes sit together under their core.
 
-use crate::probe::{ProbeSnapshot, ProbeValue};
-
 /// Renders flattened `(name, value)` probe pairs as table lines: a header,
 /// then one aligned row per probe with a blank-line break between leading
 /// scope segments. Pairs are sorted by name first, so callers can pass
@@ -33,28 +31,9 @@ pub fn render_flat(pairs: &[(String, u64)]) -> Vec<String> {
     lines
 }
 
-/// Renders a [`ProbeSnapshot`] as a profile table: counters verbatim,
-/// histograms summarised as count/sum/max rows (matching
-/// [`crate::probe::ProbeRegistry::flatten`]).
-pub fn render_snapshot(snapshot: &ProbeSnapshot) -> Vec<String> {
-    let mut pairs = Vec::with_capacity(snapshot.len());
-    for (name, value) in snapshot.iter() {
-        match value {
-            ProbeValue::Counter(v) => pairs.push((name.to_string(), *v)),
-            ProbeValue::Histogram(h) => {
-                pairs.push((format!("{name}/count"), h.count()));
-                pairs.push((format!("{name}/sum"), h.sum()));
-                pairs.push((format!("{name}/max"), h.max()));
-            }
-        }
-    }
-    render_flat(&pairs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::ProbeRegistry;
 
     #[test]
     fn table_is_sorted_aligned_and_scope_grouped() {
@@ -74,16 +53,6 @@ mod tests {
         // All rows align to the same width.
         let widths: Vec<usize> = lines.iter().map(String::len).collect();
         assert!(widths.windows(2).all(|w| w[0] == w[1]), "{lines:?}");
-    }
-
-    #[test]
-    fn snapshot_rendering_matches_flatten() {
-        let mut reg = ProbeRegistry::new();
-        reg.add("c", 3);
-        reg.record("h", 8);
-        let via_snapshot = render_snapshot(&reg.snapshot());
-        let via_flatten = render_flat(&reg.flatten());
-        assert_eq!(via_snapshot, via_flatten);
     }
 
     #[test]

@@ -109,19 +109,6 @@ impl ResolvedSpec {
         Simulator::new().run(&mut machine, &mut engine, workload.as_mut(), &limits)
     }
 
-    /// Runs the spec with every semantic event streamed to `observer`.
-    /// Bit-identical to [`ResolvedSpec::run`].
-    pub fn run_with_observer(&self, observer: &mut dyn SimObserver) -> SimulationResult {
-        let (mut machine, mut engine, mut workload, limits) = self.components();
-        Simulator::new().run_with_observer(
-            &mut machine,
-            &mut engine,
-            workload.as_mut(),
-            &limits,
-            observer,
-        )
-    }
-
     /// The engine's table label.
     pub fn label(&self) -> &str {
         self.engine.label
@@ -140,16 +127,13 @@ impl ResolvedSpec {
         observer: Option<&mut dyn SimObserver>,
     ) -> (SimulationResult, ProbeRegistry) {
         let (mut machine, mut engine, mut workload, limits) = self.components();
-        let result = match observer {
-            Some(obs) => Simulator::new().run_with_observer(
-                &mut machine,
-                &mut engine,
-                workload.as_mut(),
-                &limits,
-                obs,
-            ),
-            None => Simulator::new().run(&mut machine, &mut engine, workload.as_mut(), &limits),
-        };
+        let mut session =
+            Simulator::new().start(&mut machine, &mut engine, workload.as_mut(), &limits);
+        match observer {
+            Some(obs) => session.run_to_completion_with(obs),
+            None => session.run_to_completion(),
+        }
+        let result = session.into_result();
         let mut reg = ProbeRegistry::new();
         machine.mem.probes_into(result.stats.total_cycles, &mut reg);
         engine.probes_into(&mut reg);

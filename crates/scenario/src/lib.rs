@@ -21,21 +21,21 @@
 //! harness's per-cell seed derivation exactly
 //! ([`spec::SimSpec::derived_seed`]), so a spec file is a complete,
 //! reproducible description of a run. [`exec`] resolves a spec against the
-//! engine table and executes it; [`metrics::MetricsSink`] is a streaming
-//! [`dhtm_sim::observer::SimObserver`] over any spec run.
+//! engine table and executes it; to watch a run as it executes, pass a
+//! [`dhtm_sim::observer::SimObserver`] to
+//! [`exec::ResolvedSpec::run_probed`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod exec;
 pub mod format;
-pub mod metrics;
+pub mod pool;
 pub mod result;
 pub mod spec;
 pub mod trace;
 
 pub use exec::ResolvedSpec;
-pub use metrics::MetricsSink;
 pub use result::{RunRecord, RESULT_SCHEMA};
 pub use spec::{SimSpec, SimSpecBuilder, SpecError, SpecLimits};
 pub use trace::TraceRecorder;

@@ -5,7 +5,6 @@ use std::str::FromStr;
 
 use dhtm_baselines::registry::{self, EngineId, ENGINES};
 use dhtm_sim::driver::SimulationResult;
-use dhtm_sim::observer::SimObserver;
 use dhtm_types::config::{BaseConfig, ConfigOverlay, SystemConfig};
 use dhtm_types::seed::{content_hash64, stable_cell_seed};
 
@@ -159,19 +158,6 @@ impl SimSpec {
     /// Fails if the spec does not validate.
     pub fn run(&self) -> Result<SimulationResult, SpecError> {
         Ok(self.resolve()?.run())
-    }
-
-    /// Like [`SimSpec::run`], streaming every semantic event of the run to
-    /// `observer` (see [`dhtm_sim::observer::SimObserver`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the spec does not validate.
-    pub fn run_with_observer(
-        &self,
-        observer: &mut dyn SimObserver,
-    ) -> Result<SimulationResult, SpecError> {
-        Ok(self.resolve()?.run_with_observer(observer))
     }
 
     /// Serialises the spec to its canonical TOML form.

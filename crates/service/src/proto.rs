@@ -209,12 +209,6 @@ impl Disposition {
             _ => return None,
         })
     }
-
-    /// Whether this spec was served without executing a new simulation
-    /// *for this submission* (the `cached` flag of its `done` event).
-    pub fn served_from_cache(self) -> bool {
-        matches!(self, Disposition::HitDisk | Disposition::HitMemory)
-    }
 }
 
 /// Server counters reported by `status`.
@@ -269,8 +263,8 @@ pub enum Event {
         /// The job's content hash.
         hash_hex: String,
     },
-    /// Commit-window throughput sample from the running job's
-    /// [`dhtm_scenario::MetricsSink`].
+    /// Commit-window throughput sample from the running job: sent every
+    /// `max(target_commits / 4, 1)` commits.
     Window {
         /// The job's content hash.
         hash_hex: String,

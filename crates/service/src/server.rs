@@ -8,9 +8,9 @@
 //! canonical TOML before being served. Only specs that survive both
 //! layers are enqueued; the worker pool shards them across threads, each
 //! running the workspace's one execution path
-//! ([`dhtm_scenario::ResolvedSpec::run_probed`]) with a
-//! [`MetricsSink`]-backed observer that streams commit-window throughput
-//! to every subscribed connection.
+//! ([`dhtm_scenario::ResolvedSpec::run_probed`]) with a commit-counting
+//! observer that streams commit-window throughput to every subscribed
+//! connection.
 //!
 //! Execution is panic-isolated: a worker wraps the run in `catch_unwind`,
 //! so a pathological spec fails *that job* (a `failed` event to its
@@ -29,10 +29,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dhtm_obs::ProbeRegistry;
-use dhtm_scenario::{MetricsSink, RunRecord, SimSpec};
+use dhtm_scenario::{RunRecord, SimSpec};
 use dhtm_sim::observer::{SimObserver, StepContext};
 use dhtm_types::seed::hash_hex;
-use dhtm_types::stats::AbortReason;
 
 use crate::proto::{
     decode_request, encode_event, read_frame, write_frame, Disposition, Event, ProtoError, Request,
@@ -193,12 +192,11 @@ impl Inner {
             let resolved = spec.resolve().map_err(|e| e.to_string())?;
             let every = (spec.limits.target_commits / 4).max(1);
             let mut progress = ProgressObserver {
-                sink: MetricsSink::with_commit_stride(every),
+                commits: 0,
                 every,
                 hash,
                 inner: self,
                 last_cycle: 0,
-                last_commits: 0,
             };
             let (result, registry) = resolved.run_probed(Some(&mut progress));
             Ok::<RunRecord, String>(RunRecord::from_run(&spec, &result.stats, &registry))
@@ -295,47 +293,29 @@ impl Inner {
     }
 }
 
-/// Observer wrapping a [`MetricsSink`]: exact commit/abort tallies plus a
-/// `window` broadcast every `every` commits.
+/// Observer that counts commits and broadcasts a `window` event every
+/// `every` of them.
 struct ProgressObserver<'a> {
-    sink: MetricsSink,
+    commits: u64,
     every: u64,
     hash: u64,
     inner: &'a Inner,
     last_cycle: u64,
-    last_commits: u64,
 }
 
 impl SimObserver for ProgressObserver<'_> {
-    fn on_begin(&mut self, ctx: &StepContext<'_>, tx: &dhtm_sim::workload::Transaction) {
-        self.sink.on_begin(ctx, tx);
-    }
-
-    fn on_commit(&mut self, ctx: &StepContext<'_>, tx: &dhtm_sim::workload::Transaction) {
-        self.sink.on_commit(ctx, tx);
-        if self.sink.commits.is_multiple_of(self.every) {
+    fn on_commit(&mut self, ctx: &StepContext<'_>, _tx: &dhtm_sim::workload::Transaction) {
+        self.commits += 1;
+        if self.commits.is_multiple_of(self.every) {
             self.inner.broadcast(JobEvent::Window {
                 hash: self.hash,
-                commits: self.sink.commits,
+                commits: self.commits,
                 cycle: ctx.now,
-                window_commits: self.sink.commits - self.last_commits,
+                window_commits: self.every,
                 window_cycles: ctx.now.saturating_sub(self.last_cycle),
             });
-            self.last_commits = self.sink.commits;
             self.last_cycle = ctx.now;
         }
-    }
-
-    fn on_abort(&mut self, ctx: &StepContext<'_>, reason: AbortReason) {
-        self.sink.on_abort(ctx, reason);
-    }
-
-    fn on_durable_tick(&mut self, ctx: &StepContext<'_>) {
-        self.sink.on_durable_tick(ctx);
-    }
-
-    fn on_crash_point(&mut self, ctx: &StepContext<'_>, point: u64) {
-        self.sink.on_crash_point(ctx, point);
     }
 }
 

@@ -204,6 +204,78 @@ fn concurrent_connections_dedup_against_each_other() {
 }
 
 #[test]
+fn progress_windows_stride_the_commits_and_tile_the_run() {
+    let store = temp_dir("e2e_windows");
+    let handle = spawn_server(&store, 2);
+    // Targets below 4, at a multiple of 4 and off one, so the stride
+    // `max(commits / 4, 1)` is 1, 2 and 3 and the last window of the
+    // third run ends one commit before the run does.
+    let batch: Vec<SimSpec> = [
+        (DesignKind::Dhtm, 3),
+        (DesignKind::Atom, 8),
+        (DesignKind::SoftwareOnly, 13),
+    ]
+    .into_iter()
+    .map(|(engine, commits)| {
+        SimSpec::builder(engine, "hash")
+            .base(BaseConfig::Small)
+            .commits(commits)
+            .seed(31)
+            .build()
+            .unwrap()
+    })
+    .collect();
+
+    let mut client = ServiceClient::connect(handle.addr).unwrap();
+    // (commits, cycle, window_commits, window_cycles) per job hash.
+    let mut windows: HashMap<String, Vec<(u64, u64, u64, u64)>> = HashMap::new();
+    let outcome = client
+        .submit_streaming(1, batch.clone(), |ev| {
+            if let Event::Window {
+                hash_hex,
+                commits,
+                cycle,
+                window_commits,
+                window_cycles,
+            } = ev
+            {
+                windows.entry(hash_hex.clone()).or_default().push((
+                    *commits,
+                    *cycle,
+                    *window_commits,
+                    *window_cycles,
+                ));
+            }
+        })
+        .unwrap();
+    assert_eq!(outcome.executed, batch.len() as u64);
+
+    for (spec, result) in batch.iter().zip(&outcome.results) {
+        let target = spec.limits.target_commits;
+        let stride = (target / 4).max(1);
+        let stats = &result.record.stats;
+        assert_eq!(stats.committed, target);
+        let seen = &windows[&result.hash_hex];
+        let commits: Vec<u64> = seen.iter().map(|w| w.0).collect();
+        let expected: Vec<u64> = (1..=target / stride).map(|k| k * stride).collect();
+        assert_eq!(commits, expected, "one window every {stride} commits");
+        assert!(seen.iter().all(|w| w.2 == stride), "{seen:?}");
+        assert!(seen.windows(2).all(|p| p[0].1 <= p[1].1), "{seen:?}");
+        let last_cycle = seen.last().unwrap().1;
+        assert_eq!(seen.iter().map(|w| w.3).sum::<u64>(), last_cycle);
+        assert!(
+            last_cycle <= stats.total_cycles,
+            "{last_cycle} > {}",
+            stats.total_cycles
+        );
+    }
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
 fn invalid_batches_and_unknown_hashes_get_error_events() {
     let store = temp_dir("e2e_errors");
     let handle = spawn_server(&store, 1);

@@ -23,12 +23,12 @@
 //! persistent domain) between events, stop at an arbitrary point and collect
 //! partial statistics. Streaming observation goes through the
 //! [`SimObserver`] interface ([`SimulationSession::step_with`] /
-//! [`Simulator::run_with_observer`]): observers receive begin/commit/abort/
-//! durable-tick/crash-point callbacks with immutable context only, so an
-//! observed run is bit-identical to an unobserved one. [`Simulator::run`]
-//! is the uninstrumented run-to-completion wrapper; the crash-injection
-//! subsystem (`dhtm_crash`) and the scenario metrics sink are the primary
-//! observer clients.
+//! [`SimulationSession::run_to_completion_with`]): observers receive
+//! begin/commit/abort/durable-tick/crash-point callbacks with immutable
+//! context only, so an observed run is bit-identical to an unobserved one.
+//! [`Simulator::run`] is the uninstrumented run-to-completion wrapper; the
+//! crash-injection subsystem (`dhtm_crash`), the scenario `TraceRecorder`
+//! and the simulation service's progress stream are the observer clients.
 
 use dhtm_coherence::memsys::MemStats;
 use dhtm_nvm::domain::PersistentDomain;
@@ -178,27 +178,6 @@ impl Simulator {
     {
         let mut session = self.start(machine, engine, workload, limits);
         session.run_to_completion();
-        session.into_result()
-    }
-
-    /// Like [`Simulator::run`], with every semantic event streamed to
-    /// `observer`. The observer cannot perturb the run; the returned result
-    /// is bit-identical to an unobserved run.
-    pub fn run_with_observer<E, W, O>(
-        &self,
-        machine: &mut Machine,
-        engine: &mut E,
-        workload: &mut W,
-        limits: &RunLimits,
-        observer: &mut O,
-    ) -> SimulationResult
-    where
-        E: TxEngine + ?Sized,
-        W: Workload + ?Sized,
-        O: SimObserver + ?Sized,
-    {
-        let mut session = self.start(machine, engine, workload, limits);
-        session.run_to_completion_with(observer);
         session.into_result()
     }
 
@@ -1041,15 +1020,9 @@ mod tests {
             let limits = RunLimits::quick().with_target_commits(40);
             let sim = Simulator::new();
             if observe {
-                let mut observer = CountingObserver::default();
-                sim.run_with_observer(
-                    &mut machine,
-                    &mut engine,
-                    &mut workload,
-                    &limits,
-                    &mut observer,
-                )
-                .stats
+                let mut session = sim.start(&mut machine, &mut engine, &mut workload, &limits);
+                session.run_to_completion_with(&mut CountingObserver::default());
+                session.into_result().stats
             } else {
                 sim.run(&mut machine, &mut engine, &mut workload, &limits)
                     .stats

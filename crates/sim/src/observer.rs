@@ -7,8 +7,9 @@
 //! bit-identical to an unobserved one (enforced by the driver's parity
 //! tests). This replaces the old one-off session flags
 //! (`observe_started_transactions`, out-of-band crash-probe plumbing): the
-//! crash subsystem's profile recorder and the scenario metrics sink are
-//! both ordinary implementations of this trait.
+//! crash subsystem's profile recorder, the scenario trace recorder and the
+//! service's progress observer are all ordinary implementations of this
+//! trait.
 
 use dhtm_nvm::domain::PersistentDomain;
 use dhtm_types::ids::CoreId;

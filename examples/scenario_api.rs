@@ -1,15 +1,18 @@
 //! Tour of the scenario API: build a typed `SimSpec`, round-trip it
-//! through TOML, stream a run through the `SimObserver` metrics sink, run
-//! a built-in engine variant by id, and list the engine table.
+//! through TOML, stream a run through a `SimObserver`, run a built-in
+//! engine variant by id, and list the engine table.
 //!
 //! ```text
 //! cargo run --release --example scenario_api
 //! ```
 
 use dhtm_baselines::registry::{EngineId, ENGINES};
-use dhtm_scenario::{MetricsSink, SimSpec};
+use dhtm_scenario::SimSpec;
+use dhtm_sim::observer::{SimObserver, StepContext};
+use dhtm_sim::workload::Transaction;
 use dhtm_types::config::{BaseConfig, ConfigOverlay};
 use dhtm_types::policy::DesignKind;
+use dhtm_types::stats::AbortReason;
 
 fn main() {
     // 1. A typed, validated spec: DHTM on the hash benchmark, small
@@ -25,17 +28,23 @@ fn main() {
     println!("content hash: {:016x}", spec.content_hash());
     println!("derived workload seed: {:016x}\n", spec.derived_seed());
 
-    // 2. Run it with a streaming metrics sink attached.
-    let mut sink = MetricsSink::new();
-    let result = spec.run_with_observer(&mut sink).expect("spec runs");
+    // 2. Run it with an observer attached: every callback sees the run
+    //    as it executes, read-only, so the result is the same as a plain
+    //    run. The probe registry is read off the machine afterwards.
+    let mut counts = Counts::default();
+    let (result, probes) = spec
+        .resolve()
+        .expect("spec resolves")
+        .run_probed(Some(&mut counts));
     println!(
-        "committed {} in {} cycles ({:.1} tx/Mcycle); streamed: {} begins, {} aborts, {} durable ticks",
+        "committed {} in {} cycles ({:.1} tx/Mcycle); streamed: {} begins, {} aborts, {} durable ticks; {} probes",
         result.stats.committed,
         result.stats.total_cycles,
         result.throughput(),
-        sink.begins,
-        sink.total_aborts(),
-        sink.durable_ticks,
+        counts.begins,
+        counts.aborts,
+        counts.durable_ticks,
+        probes.len(),
     );
 
     // 3. Run the same scenario on a built-in variant — DHTM with
@@ -62,5 +71,28 @@ fn main() {
             engine.label,
             engine.design.label(),
         );
+    }
+}
+
+/// A minimal observer: counts three of the callbacks, leaves the rest at
+/// their no-op defaults.
+#[derive(Debug, Default)]
+struct Counts {
+    begins: u64,
+    aborts: u64,
+    durable_ticks: u64,
+}
+
+impl SimObserver for Counts {
+    fn on_begin(&mut self, _ctx: &StepContext<'_>, _tx: &Transaction) {
+        self.begins += 1;
+    }
+
+    fn on_abort(&mut self, _ctx: &StepContext<'_>, _reason: AbortReason) {
+        self.aborts += 1;
+    }
+
+    fn on_durable_tick(&mut self, _ctx: &StepContext<'_>) {
+        self.durable_ticks += 1;
     }
 }
